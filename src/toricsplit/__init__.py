@@ -41,12 +41,10 @@ from .divisor import (
     principal_divisor,
 )
 from .frobenius import (
-    InconsistentGluing,
     SplittingReport,
     SplittingResult,
-    ThomsenContext,
     stabilization_check,
-    summand_divisor,
+    summand_divisors,
     thomsen_split,
     verify_splitting_invariants,
 )

@@ -57,7 +57,8 @@ def wall_relation(fan, wall):
              + np.array(fan.rays[wall.u_minus], dtype=object))
     for a, j in zip(coeffs, wall.rays):
         total = total + a * np.array(fan.rays[j], dtype=object)
-    assert not total.any(), f"wall relation for {wall.rays} does not close"
+    if total.any():
+        raise BasisDegenerate(f"wall relation for {wall.rays} does not close")
     return WallRelation(wall, coeffs)
 
 

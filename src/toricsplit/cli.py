@@ -6,6 +6,7 @@ identical inputs; timing goes to stderr.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -22,6 +23,15 @@ class InputError(Exception):
     """Bad file, descriptor, or flag combination: exit code 2."""
 
 
+@contextlib.contextmanager
+def _input_errors():
+    """Report a library ValueError about the inputs as an InputError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="toricsplit",
@@ -30,9 +40,6 @@ def _build_parser():
 
     def add_common(p, fan_source=True, divisor=False, collection=False):
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on internal parallelism (computation is "
-                            "single-threaded; accepted for compatibility)")
         if fan_source:
             p.add_argument("--variety", help="descriptor such as P:2, dP:3, "
                                              "Xd:3, F:2, or products A*B")
@@ -159,7 +166,7 @@ def _load_collection(args, fan, attr="collection"):
 
 
 def _inputs_echo(args):
-    skip = {"command", "action", "format", "threads"}
+    skip = {"command", "action", "format"}
     out = {}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:
@@ -205,8 +212,8 @@ def _cmd_frobenius(args):
     result = frobenius_mod.thomsen_split(fan, div, args.p, args.base_cone)
     if args.action == "split":
         if not args.no_stabilization_check and args.p >= 2:
-            stable = frobenius_mod.stabilization_check(fan, div, (args.p, args.p + 2))
-            if not stable:
+            ahead = frobenius_mod.thomsen_split(fan, div, args.p + 2)
+            if ahead.classes.keys() != result.classes.keys():
                 print(f"warning: splitting class set differs between "
                       f"p={args.p} and p={args.p + 2}", file=sys.stderr)
         return _split_payload(result), 0
@@ -237,7 +244,8 @@ def _cmd_bondal(args):
 def _cmd_cohomology(args):
     fan = _load_fan(args)
     div = _load_divisor(args, fan)
-    table = cohomology_mod.line_bundle_cohomology(fan, div, box=args.box)
+    with _input_errors():
+        table = cohomology_mod.line_bundle_cohomology(fan, div, box=args.box)
     return {"dims": list(table.dims), "box": table.box}, 0
 
 
@@ -245,7 +253,8 @@ def _cmd_collection(args):
     fan = _load_fan(args)
     bundles = _load_collection(args, fan)
     if args.action == "verify":
-        report = cohomology_mod.is_strongly_exceptional(fan, bundles, box=args.box)
+        with _input_errors():
+            report = cohomology_mod.is_strongly_exceptional(fan, bundles, box=args.box)
         payload = {
             "pass": report.passed,
             "violations": [{"kind": kind, "j": j, "k": k, "dims": list(dims)}
@@ -253,7 +262,8 @@ def _cmd_collection(args):
         }
         return payload, 0 if report.passed else 1
     if args.action == "order":
-        result = cohomology_mod.find_strong_order(fan, bundles, box=args.box)
+        with _input_errors():
+            result = cohomology_mod.find_strong_order(fan, bundles, box=args.box)
         if result.ok:
             return {"ok": True, "order": [list(b) for b in result.order]}, 0
         witness = [x if isinstance(x, (int, str)) else list(x)
@@ -263,7 +273,8 @@ def _cmd_collection(args):
     fan2 = _load_fan(args, variety_attr="variety2", fan_attr="fan2")
     bundles2 = _load_collection(args, fan2, attr="collection2")
     try:
-        product, combined = cohomology_mod.box_product(fan, bundles, fan2, bundles2)
+        with _input_errors():
+            product, combined = cohomology_mod.box_product(fan, bundles, fan2, bundles2)
     except cohomology_mod.FactorNotStronglyExceptional as exc:
         return {"ok": False, "error": str(exc)}, 1
     payload = {
@@ -311,9 +322,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     started = time.monotonic()
     try:
         result, status = _HANDLERS[args.command](args)

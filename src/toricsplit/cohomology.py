@@ -140,9 +140,12 @@ def line_bundle_cohomology(fan, divisor, box=None, max_doublings=10):
     The degree scan starts at radius 1 + max|a_j| * max|v_j| and doubles
     until the two outermost shells contribute nothing; `box` forces a fixed
     radius instead.  Raises BoxNotConverged past radius 2^max_doublings
-    times the initial one.
+    times the initial one, and ValueError for a negative `box` or a
+    coefficient beyond the int64 scan range (absolute value 2^31 or more).
     """
     a = _coeffs(fan, divisor)
+    if box is not None and box < 0:
+        raise ValueError(f"box radius must be >= 0, got {box}")
     cached = fan._cache.get(("cohomology", a, box, max_doublings))
     if cached is not None:
         return cached
@@ -151,9 +154,11 @@ def line_bundle_cohomology(fan, divisor, box=None, max_doublings=10):
     if nrays > 62:
         raise ValueError("bitmask fast path supports at most 62 rays")
     complex_ = fan.face_complex
+    if max((abs(x) for x in a), default=0) >= _INT64_SAFE:
+        raise ValueError("divisor coefficients must be below 2^31 in absolute "
+                         "value for the int64 degree scan")
     rmat = np.array([list(r) for r in fan.rays], dtype=np.int64)
     avec = np.array(a, dtype=np.int64)
-    assert max(abs(int(x)) for x in avec) < _INT64_SAFE
     weights = (np.int64(1) << np.arange(nrays, dtype=np.int64))
 
     hs = [0] * (n + 1)
@@ -162,7 +167,8 @@ def line_bundle_cohomology(fan, divisor, box=None, max_doublings=10):
     def scan_shell(s):
         pts = _shell_points(n, s)
         vals = pts @ rmat.T
-        assert abs(vals).max(initial=0) < _INT64_SAFE
+        if abs(vals).max(initial=0) >= _INT64_SAFE:
+            raise ValueError(f"degree shell {s} leaves the int64 scan range")
         masks = (vals < -avec) @ weights
         contributed = False
         for mask in np.unique(masks):

@@ -18,9 +18,6 @@ import numpy as np
 
 from .lattice import as_matrix, determinant, unimodular_inverse
 
-# int64 fast paths are only taken when every value is comfortably below this
-_INT64_SAFE = 2 ** 31
-
 
 class InvalidSpec(ValueError):
     """Unparseable or out-of-range variety descriptor."""
@@ -431,12 +428,16 @@ def _battery_points(fan):
 
 
 def _covers_points_smooth(fan, points):
-    """Vectorised membership check using the exact integer cone inverses."""
+    """Vectorised membership check using the exact integer cone inverses.
+
+    Entries too large for the int64 products go to the exact rational check.
+    """
+    bound = max([abs(x) for pt in points for x in pt]
+                + [int(np.abs(b).max()) for b in fan.cone_inverses])
+    if fan.dim * bound * bound >= 2 ** 63:
+        return _covers_points_general(fan, points)
     bs = [np.array(b.tolist(), dtype=np.int64) for b in fan.cone_inverses]
-    for b in bs:
-        assert np.abs(b).max(initial=0) < _INT64_SAFE
     pts = np.array(points, dtype=np.int64)
-    assert np.abs(pts).max(initial=0) < _INT64_SAFE
     missing = np.ones(len(points), dtype=bool)
     for b in bs:
         lam = pts @ b  # row i: coefficients of point i on the cone's rays

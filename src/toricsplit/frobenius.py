@@ -1,11 +1,17 @@
 """Splitting of Frobenius pushforwards of line bundles into line bundles.
 
 For the degree-p toric self-map (t -> t^p on the torus), the dual of the
-pushforward of a line bundle O(D) splits as a direct sum of line bundles
-O(D_v) indexed by v in [0,p)^n.  Each summand is computed by Thomsen's
-algorithm: fix a base cone l, divide C_li v + u_li by p componentwise with
-remainders in [0,p), and read the summand's coefficients off the resulting
-per-cone lattice functionals.  Summands are grouped by Picard class.
+pushforward of a line bundle O(D) = O(sum a_j Z_j) splits as a direct sum
+of p^n line bundles O(D_v), one per exponent vector v in [0,p)^n.  Thomsen's
+description gives every summand in closed form: fix a base cone l with ray
+matrix A_l (rays as rows), B_l = A_l^{-1}, and u_l the coefficients of D on
+the rays of l; then
+
+    D_v = -floor((D + div chi^m) / p),   m = B_l (v - u_l),
+
+so the coefficient of D_v on ray v_j is -floor((<m, v_j> + a_j) / p).  All
+p^n summands come out of one exact object-dtype array expression, so memory
+is O(p^n * #rays).  Summands are grouped by Picard class.
 """
 
 import itertools
@@ -13,64 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisor import _coeffs, divisor_class, linearly_equivalent
+from .divisor import _coeffs, _pic_projection, linearly_equivalent
 
 
-class InconsistentGluing(RuntimeError):
-    """Two cones containing a ray disagree on its summand coefficient."""
+def summand_divisors(fan, divisor, p, base_cone=0):
+    """All p^n summands D_v as the rows of an object-dtype (p^n, #rays) array.
 
-
-class ThomsenContext:
-    """Per-cone change-of-basis data for one fan, divisor and base cone.
-
-    A_i has the cone's rays as rows, B_i = A_i^{-1}, C_i = B_i^{-1} B_l =
-    A_i B_l, and u_i is the divisor's coefficient vector restricted to the
-    cone's rays; u_loc_i = u_i - C_i u_l vanishes for the trivial divisor.
+    Row k belongs to the k-th exponent vector v of
+    itertools.product(range(p), repeat=n), i.e. v in lexicographic order.
+    p is any integer >= 1; primality plays no role in the combinatorics.
     """
-
-    def __init__(self, fan, divisor, base_cone=0):
-        if not 0 <= base_cone < len(fan.max_cones):
-            raise ValueError(f"base cone index {base_cone} out of range")
-        a = _coeffs(fan, divisor)
-        self.fan = fan
-        self.divisor = a
-        self.base_cone = base_cone
-        self.A = fan.cone_matrices
-        self.B = fan.cone_inverses
-        b_l = self.B[base_cone]
-        self.C = tuple(ai @ b_l for ai in self.A)
-        u = tuple(np.array([a[j] for j in cone], dtype=object)
-                  for cone in fan.max_cones)
-        u_l = u[base_cone]
-        self.u_loc = tuple(u[i] - self.C[i] @ u_l for i in range(len(u)))
-
-
-def summand_divisor(ctx, p, v):
-    """Coefficients of the summand D_v for one exponent vector v in [0,p)^n.
-
-    For each cone, h = floor((C v + u_loc)/p) and the functional is B h; the
-    coefficient on ray j is -<B_k h_k, v_j> for any cone k containing j, and
-    the cones are required to agree.
-    """
-    fan = ctx.fan
-    v = np.array([int(x) for x in v], dtype=object)
-    if len(v) != fan.dim:
-        raise ValueError(f"exponent vector must have length {fan.dim}")
-    if any(x < 0 or x >= p for x in v):
-        raise ValueError(f"exponent vector {tuple(v)} not in [0,{p})^{fan.dim}")
-    betas = [None] * len(fan.rays)
-    ray_vecs = fan.ray_matrix
-    for i, cone in enumerate(fan.max_cones):
-        h = (ctx.C[i] @ v + ctx.u_loc[i]) // p
-        functional = ctx.B[i] @ h
-        for j in cone:
-            beta = -int(np.dot(functional, ray_vecs[j]))
-            if betas[j] is None:
-                betas[j] = beta
-            elif betas[j] != beta:
-                raise InconsistentGluing(
-                    f"ray {j}: cone {cone} gives {beta}, earlier cones gave {betas[j]}")
-    return tuple(betas)
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if not 0 <= base_cone < len(fan.max_cones):
+        raise ValueError(f"base cone index {base_cone} out of range")
+    a = np.array(_coeffs(fan, divisor), dtype=object)
+    v = np.array(list(itertools.product(range(p), repeat=fan.dim)), dtype=object)
+    m = (v - a[list(fan.max_cones[base_cone])]) @ fan.cone_inverses[base_cone].T
+    return -((m @ fan.ray_matrix.T + a) // p)
 
 
 @dataclass
@@ -102,17 +68,14 @@ class SplittingResult:
 
 
 def thomsen_split(fan, divisor, p, base_cone=0):
-    """Enumerate all p^n summands and group them by Picard class.
+    """All p^n summands grouped by Picard class, in one pass over the rows.
 
-    p is any integer >= 1; primality plays no role in the combinatorics.
+    p is any integer >= 1; the first row of each class is its representative.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    ctx = ThomsenContext(fan, divisor, base_cone)
+    summands = summand_divisors(fan, divisor, p, base_cone)
+    class_vectors = summands @ _pic_projection(fan).T
     classes = {}
-    for v in itertools.product(range(p), repeat=fan.dim):
-        dv = summand_divisor(ctx, p, v)
-        c = divisor_class(fan, dv)
+    for c, dv in zip(map(tuple, class_vectors.tolist()), map(tuple, summands.tolist())):
         if c in classes:
             classes[c][0] += 1
         else:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from toricsplit.bondal import bondal_criterion, wall_relation
+from toricsplit import bondal
+from toricsplit.bondal import BasisDegenerate, bondal_criterion, wall_relation
 from toricsplit.fan import build_named, del_pezzo_bundle, hirzebruch, projective_space, walls
 from toricsplit.fan import Wall
 
@@ -56,6 +57,22 @@ class TestWallRelation:
         fan = projective_space(1)
         (w,) = walls(fan)
         assert wall_relation(fan, w).coeffs == ()
+
+
+    def test_relation_that_does_not_close(self, monkeypatch):
+        # a wrong inverse that keeps the u_plus coordinate at -1 yields a
+        # relation that does not close; that is an error, not a result
+        real_inverse = bondal.unimodular_inverse
+
+        def skewed(mat):
+            inv = real_inverse(mat)
+            inv[0] = inv[0] + inv[-1]
+            return inv
+
+        monkeypatch.setattr(bondal, "unimodular_inverse", skewed)
+        fan = projective_space(2)
+        with pytest.raises(BasisDegenerate, match="does not close"):
+            wall_relation(fan, walls(fan)[0])
 
 
 class TestSurfaceSelfIntersections:

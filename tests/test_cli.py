@@ -96,6 +96,17 @@ class TestFrobenius:
                              "--variety", "P:1", "--p", "0")
         assert status == 2
 
+    def test_stabilization_warning(self, capsys):
+        # the tower's class set grows from 11 at p=3 to 12 at p=5
+        status, _, err = run(capsys, "frobenius", "split",
+                             "--variety", "Xd:3", "--p", "3")
+        assert status == 0
+        assert "warning: splitting class set differs between p=3 and p=5" in err
+        status, _, err = run(capsys, "frobenius", "split",
+                             "--variety", "Xd:3", "--p", "4", "--base-cone", "5")
+        assert status == 0
+        assert "warning" not in err
+
 
 class TestBondal:
     def test_f2_fails_exit_one(self, capsys):
@@ -130,6 +141,58 @@ class TestCohomology:
                                   "--box", "7")
         assert status == 0
         assert report["result"] == {"dims": [3, 0], "box": 7}
+
+
+def assert_input_error(capsys, *argv):
+    """Exit 2 with exactly one line on stderr, an `error:` message."""
+    status, out, err = run(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestBadInput:
+    def write(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_negative_box(self, capsys, tmp_path):
+        div = self.write(tmp_path, "d.json", {"coeffs": [3, 0, 0]})
+        assert_input_error(capsys, "cohomology", "compute", "--variety", "P:2",
+                           "--divisor", div, "--box", "-1")
+
+    def test_coefficient_beyond_scan_range(self, capsys, tmp_path):
+        for coeff in (2 ** 31, -2 ** 31, 2 ** 70):
+            div = self.write(tmp_path, "d.json", {"coeffs": [coeff, 0, 0]})
+            assert_input_error(capsys, "cohomology", "compute", "--variety", "P:2",
+                               "--divisor", div)
+
+    def test_empty_collection(self, capsys, tmp_path):
+        coll = self.write(tmp_path, "c.json", {"bundles": []})
+        for action in ("order", "verify"):
+            assert_input_error(capsys, "collection", action, "--variety", "P:2",
+                               "--collection", coll)
+        assert_input_error(capsys, "collection", "product", "--variety", "P:2",
+                           "--collection", coll, "--variety2", "P:1",
+                           "--collection2", coll)
+
+    def test_equivalent_bundles(self, capsys, tmp_path):
+        coll = self.write(tmp_path, "c.json", {"bundles": [[1, 0, 0], [0, 1, 0]]})
+        assert_input_error(capsys, "collection", "order", "--variety", "P:2",
+                           "--collection", coll)
+
+    def test_fan_beyond_int64_is_validated_exactly(self, capsys, tmp_path):
+        # the Hirzebruch surface F_a with a = 2^40: its completeness battery
+        # leaves the int64 range and goes to the exact rational check
+        a = 2 ** 40
+        fan = self.write(tmp_path, "f.json", {
+            "dim": 2, "rays": [[1, 0], [0, 1], [-1, a], [0, -1]],
+            "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]]})
+        status, report = run_json(capsys, "variety", "info", "--fan", fan)
+        assert status == 0
+        assert report["result"]["picard_rank"] == 2
+        assert report["result"]["max_cones"] == 4
 
 
 class TestCollection:
@@ -202,6 +265,7 @@ class TestInterface:
                              "--divisor", "/nonexistent/d.json")
         assert status == 2
 
-    def test_threads_flag_accepted(self, capsys):
-        status, _, _ = run(capsys, "variety", "info", "P:1", "--threads", "4")
-        assert status == 0
+    def test_threads_flag_rejected(self, capsys):
+        status, _, err = run(capsys, "variety", "info", "P:1", "--threads", "4")
+        assert status == 2
+        assert "--threads" in err

@@ -7,13 +7,13 @@ import pytest
 from toricsplit.divisor import canonical_divisor, divisor_class, linearly_equivalent
 from toricsplit.fan import build_named, del_pezzo, del_pezzo_bundle, projective_space
 from toricsplit.frobenius import (
-    ThomsenContext,
     stabilization_check,
-    summand_divisor,
+    summand_divisors,
     thomsen_split,
     verify_splitting_invariants,
 )
-from toricsplit.lattice import identity
+
+from thomsen_oracle import ThomsenContext
 
 # The twelve summand representatives of the d=3 tower splitting, written in
 # the canonical ray order v0..v4, w0, w1, w2.  Shorthand: Z1m = ray 2 (-e1),
@@ -38,74 +38,44 @@ def zero(fan):
     return tuple(0 for _ in fan.rays)
 
 
-class TestContext:
-    def test_trivial_divisor(self):
-        for spec in ["P:1", "dP:3", "Xd:3"]:
-            fan = build_named(spec)
-            ctx = ThomsenContext(fan, zero(fan))
-            n = fan.dim
-            for i in range(len(fan.max_cones)):
-                assert (ctx.A[i] @ ctx.B[i] == identity(n)).all()
-                assert not ctx.u_loc[i].any()
-            assert (ctx.C[ctx.base_cone] == identity(n)).all()
-
-    def test_tower3_base_cone_matches_identity(self):
-        fan = del_pezzo_bundle(3)
-        ctx = ThomsenContext(fan, zero(fan), base_cone=0)
-        # base cone (0,1,3) has the standard basis as rays, so C_i = A_i
-        for i in range(len(fan.max_cones)):
-            assert (ctx.C[i] == ctx.A[i]).all()
+def summand_row(fan, p, v):
+    """The summand of O for the exponent vector v: its row of summand_divisors."""
+    index = sum(x * p ** k for k, x in enumerate(reversed(v)))
+    return tuple(summand_divisors(fan, zero(fan), p)[index])
 
 
 class TestSummand:
     def test_p1_zero_vector(self):
         fan = projective_space(1)
-        ctx = ThomsenContext(fan, zero(fan))
-        assert summand_divisor(ctx, 3, (0,)) == (0, 0)
+        assert summand_row(fan, 3, (0,)) == (0, 0)
 
     def test_p1_hand_run(self):
-        # cone <-e0>: C = (-1); -1 = 3*(-1) + 2, so h = -1, functional = e0^,
-        # and the coefficient on -e0 is 1
+        # base cone <e0>: m = v, and <m, -e0> = -1 = 3*(-1) + 2, so the
+        # coefficient on -e0 is -floor(-1/3) = 1
         fan = projective_space(1)
-        ctx = ThomsenContext(fan, zero(fan))
-        assert summand_divisor(ctx, 3, (1,)) == (0, 1)
+        assert summand_row(fan, 3, (1,)) == (0, 1)
 
     def test_tower3_axis_cases(self):
         fan = del_pezzo_bundle(3)
-        ctx = ThomsenContext(fan, zero(fan))
         p = 5
         for a0 in (1, 2, 4):
-            assert summand_divisor(ctx, p, (a0, 0, 0)) == (0, 0, 0, 0, 0, 1, 0, 0)
+            assert summand_row(fan, p, (a0, 0, 0)) == (0, 0, 0, 0, 0, 1, 0, 0)
         for a1 in (1, 3):
-            assert summand_divisor(ctx, p, (0, a1, 0)) == (0, 0, 1, 0, 0, 0, 0, 1)
+            assert summand_row(fan, p, (0, a1, 0)) == (0, 0, 1, 0, 0, 0, 0, 1)
         for a2 in (2, 4):
-            assert summand_divisor(ctx, p, (0, 0, a2)) == (0, 0, 0, 0, 1, 0, 1, 0)
-
-    def test_range_check(self):
-        fan = projective_space(1)
-        ctx = ThomsenContext(fan, zero(fan))
-        with pytest.raises(ValueError):
-            summand_divisor(ctx, 3, (3,))
-        with pytest.raises(ValueError):
-            summand_divisor(ctx, 3, (-1,))
+            assert summand_row(fan, p, (0, 0, a2)) == (0, 0, 0, 0, 1, 0, 1, 0)
 
     def test_zero_vector_gives_zero_divisor(self):
         for spec in ["P:1", "P:2", "dP:3", "F:2", "Xd:3"]:
             fan = build_named(spec)
-            ctx = ThomsenContext(fan, zero(fan))
             v = tuple(0 for _ in range(fan.dim))
-            assert summand_divisor(ctx, 4, v) == zero(fan)
+            assert summand_row(fan, 4, v) == zero(fan)
 
-    def test_corrupted_context_detected(self):
-        # shifting one cone's local data by a multiple of p moves its
-        # functional, so the per-ray coefficients no longer glue
-        from toricsplit.frobenius import InconsistentGluing
-        fan = projective_space(2)
-        ctx = ThomsenContext(fan, zero(fan))
-        ctx.u_loc = tuple(
-            u + 3 if i == 1 else u for i, u in enumerate(ctx.u_loc))
-        with pytest.raises(InconsistentGluing):
-            summand_divisor(ctx, 3, (1, 1))
+    def test_rejects_bad_p_and_base_cone(self):
+        fan = projective_space(1)
+        for p, base in ((0, 0), (2, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                summand_divisors(fan, zero(fan), p, base)
 
 
 class TestSplit:
@@ -221,7 +191,7 @@ class TestGeneralDivisor:
 
 
 class TestOracle:
-    """h computed by repeated subtraction must match the floor division."""
+    """Per-cone h computed by repeated subtraction must match the closed form."""
 
     @staticmethod
     def euclid_by_subtraction(value, p):
@@ -237,10 +207,12 @@ class TestOracle:
     @pytest.mark.parametrize("spec", ["P:1", "P:2", "dP:3", "Xd:3"])
     @pytest.mark.parametrize("p", [2, 3])
     def test_matches_floor_division(self, spec, p):
+        # the per-cone functionals, divided by repeated subtraction, glue to
+        # the rows of the closed form
         fan = build_named(spec)
         ctx = ThomsenContext(fan, zero(fan))
-        for v in itertools.product(range(p), repeat=fan.dim):
-            expected = summand_divisor(ctx, p, v)
+        rows = summand_divisors(fan, zero(fan), p)
+        for row, v in zip(rows, itertools.product(range(p), repeat=fan.dim)):
             betas = [None] * len(fan.rays)
             vv = np.array(v, dtype=object)
             for i, cone in enumerate(fan.max_cones):
@@ -254,7 +226,7 @@ class TestOracle:
                                        np.array(fan.rays[j], dtype=object)))
                     assert betas[j] in (None, beta)
                     betas[j] = beta
-            assert tuple(betas) == expected
+            assert tuple(betas) == tuple(row)
 
 
 class TestStabilization:
@@ -297,10 +269,8 @@ class TestStabilizationThreshold:
         assert at3 < at4
 
     def test_first_chain_vector(self):
-        from toricsplit.frobenius import ThomsenContext, summand_divisor
         fan = del_pezzo_bundle(3)
-        ctx = ThomsenContext(fan, zero(fan))
-        assert summand_divisor(ctx, 4, (3, 2, 1)) == self.MISSING_AT_P3
+        assert summand_row(fan, 4, (3, 2, 1)) == self.MISSING_AT_P3
 
     def test_stabilization_check_reflects_threshold(self):
         fan = del_pezzo_bundle(3)
