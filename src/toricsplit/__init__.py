@@ -56,7 +56,6 @@ from .bondal import (
     wall_relation,
 )
 from .cohomology import (
-    BoxNotConverged,
     CohomologyTable,
     ExceptionalityReport,
     FactorNotStronglyExceptional,

@@ -2,9 +2,12 @@
 
 The cohomology of O(D) decomposes over the character lattice: the piece in
 degree m is the reduced simplicial cohomology (one degree down) of the full
-subcomplex of the fan's face complex on the rays with <m, v_j> < -a_j.  The
-scan over m runs over an adaptive box that doubles until two consecutive
-outer shells contribute nothing.  All ranks are exact.
+subcomplex of the fan's face complex on the rays with <m, v_j> < -a_j, so it
+depends only on that sign mask.  The degree box [-R, R]^n is scanned in fixed
+blocks: each block counts its degrees per distinct mask and weights the counts
+by the mask's cohomology.  The adaptive radius doubles, rescanning the box,
+until neither of the two outermost shells contributes.  A box of more than
+2^30 degrees is refused with ValueError.  All ranks are exact.
 
 On top of that sit the (strongly) exceptional collection checks: Ext groups
 between line bundles are cohomology of coefficient differences.
@@ -21,10 +24,8 @@ from .divisor import _coeffs, divisor_class
 from .fan import fan_product
 
 _INT64_SAFE = 2 ** 31
-
-
-class BoxNotConverged(RuntimeError):
-    """The adaptive degree box exceeded its ceiling without stabilising."""
+_BLOCK = 2 ** 18
+_MAX_BOX_POINTS = 2 ** 30
 
 
 class FactorNotStronglyExceptional(RuntimeError):
@@ -73,9 +74,9 @@ def reduced_cohomology(complex_, vertices=None):
     With vertices=None the complex itself is used; otherwise the full
     subcomplex on the given vertex subset.
     """
-    if vertices is not None:
-        complex_ = complex_.restrict(vertices)
-    return _reduced_dims(complex_.faces_by_size)
+    if vertices is None:
+        return _reduced_dims(complex_.faces_by_size)
+    return _reduced_dims(_restricted_faces_by_size(complex_, frozenset(vertices)))
 
 
 def _restricted_faces_by_size(complex_, keep):
@@ -107,14 +108,9 @@ def _subset_dims(complex_, mask, top):
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """h^0..h^n plus the box radius used and the contributing degrees.
-
-    contributing maps each lattice functional with a nonzero graded piece to
-    the tuple of cohomological indices it contributes to.
-    """
+    """h^0..h^n plus the radius of the degree box that was scanned."""
     dims: tuple
     box: int
-    contributing: dict
 
     @property
     def euler(self):
@@ -124,29 +120,20 @@ class CohomologyTable:
         return all(h == 0 for h in self.dims[1:])
 
 
-def _shell_points(n, radius):
-    """All integer points with sup-norm exactly `radius`, as an int64 array."""
-    if radius == 0:
-        return np.zeros((1, n), dtype=np.int64)
-    side = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([side] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts[np.abs(pts).max(axis=1) == radius]
-
-
-def line_bundle_cohomology(fan, divisor, box=None, max_doublings=10):
+def line_bundle_cohomology(fan, divisor, box=None):
     """Exact cohomology table of O(D) on a smooth complete fan.
 
-    The degree scan starts at radius 1 + max|a_j| * max|v_j| and doubles
-    until the two outermost shells contribute nothing; `box` forces a fixed
-    radius instead.  Raises BoxNotConverged past radius 2^max_doublings
-    times the initial one, and ValueError for a negative `box` or a
-    coefficient beyond the int64 scan range (absolute value 2^31 or more).
+    The degree box [-R, R]^n is scanned in blocks of _BLOCK flat indices.
+    The adaptive radius starts at 1 + max|a_j| * max|v_j| and doubles while
+    a degree of sup-norm R or R-1 contributes; `box` forces a fixed radius
+    instead.  Raises ValueError for a negative `box`, a coefficient of
+    absolute value 2^31 or more, a box whose pairings <m, v_j> reach 2^31,
+    and a box of more than _MAX_BOX_POINTS degrees.
     """
     a = _coeffs(fan, divisor)
     if box is not None and box < 0:
         raise ValueError(f"box radius must be >= 0, got {box}")
-    cached = fan._cache.get(("cohomology", a, box, max_doublings))
+    cached = fan._cache.get(("cohomology", a, box))
     if cached is not None:
         return cached
     n = fan.dim
@@ -160,54 +147,50 @@ def line_bundle_cohomology(fan, divisor, box=None, max_doublings=10):
     rmat = np.array([list(r) for r in fan.rays], dtype=np.int64)
     avec = np.array(a, dtype=np.int64)
     weights = (np.int64(1) << np.arange(nrays, dtype=np.int64))
+    # max of |<m, v_j>| over the box [-R, R]^n is R * max_j |v_j|_1
+    ray_l1 = max(sum(abs(int(x)) for x in r) for r in fan.rays)
 
-    hs = [0] * (n + 1)
-    contributing = {}
+    def scan(radius):
+        """h^0..h^n over [-R, R]^n and the largest sup-norm that contributes."""
+        side = 2 * radius + 1
+        total = side ** n
+        if total > _MAX_BOX_POINTS:
+            raise ValueError(f"degree box of radius {radius} has {total} points, "
+                             f"more than the budget of {_MAX_BOX_POINTS}")
+        if radius * ray_l1 >= _INT64_SAFE:
+            raise ValueError(f"degree box of radius {radius} leaves the int64 "
+                             "scan range")
+        hs = [0] * (n + 1)
+        top = -1
+        for start in range(0, total, _BLOCK):
+            flat = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+            pts = np.empty((len(flat), n), dtype=np.int64)
+            for k in range(n - 1, -1, -1):
+                flat, digit = np.divmod(flat, side)
+                pts[:, k] = digit - radius
+            masks, inverse, counts = np.unique(
+                (pts @ rmat.T < -avec) @ weights,
+                return_inverse=True, return_counts=True)
+            dims = np.array([_subset_dims(complex_, int(m), n) for m in masks],
+                            dtype=np.int64)
+            hs = [h + int(c) for h, c in zip(hs, counts @ dims)]
+            hit = dims.any(axis=1)[inverse]
+            if hit.any():
+                top = max(top, int(np.abs(pts[hit]).max()))
+        return tuple(hs), top
 
-    def scan_shell(s):
-        pts = _shell_points(n, s)
-        vals = pts @ rmat.T
-        if abs(vals).max(initial=0) >= _INT64_SAFE:
-            raise ValueError(f"degree shell {s} leaves the int64 scan range")
-        masks = (vals < -avec) @ weights
-        contributed = False
-        for mask in np.unique(masks):
-            dims = _subset_dims(complex_, int(mask), n)
-            if not any(dims):
-                continue
-            contributed = True
-            where = masks == mask
-            count = int(where.sum())
-            for i, d in enumerate(dims):
-                hs[i] += d * count
-            degrees = tuple(i for i, d in enumerate(dims) if d)
-            for idx in np.nonzero(where)[0]:
-                contributing[tuple(int(x) for x in pts[idx])] = degrees
-        return contributed
-
-    ray_span = max(abs(int(x)) for r in fan.rays for x in r)
-    coeff_span = max((abs(x) for x in a), default=0)
-    initial = 1 + coeff_span * ray_span
-    shell_contrib = {}
     if box is not None:
         radius = int(box)
-        for s in range(radius + 1):
-            scan_shell(s)
+        hs, _ = scan(radius)
     else:
-        radius = initial
-        ceiling = initial << max_doublings
-        for s in range(radius + 1):
-            shell_contrib[s] = scan_shell(s)
-        while shell_contrib[radius] or shell_contrib[radius - 1]:
-            new_radius = radius * 2
-            if new_radius > ceiling:
-                raise BoxNotConverged(
-                    f"degree box exceeded radius {ceiling} without two empty shells")
-            for s in range(radius + 1, new_radius + 1):
-                shell_contrib[s] = scan_shell(s)
-            radius = new_radius
-    table = CohomologyTable(tuple(hs), radius, contributing)
-    fan._cache[("cohomology", a, box, max_doublings)] = table
+        ray_span = max(abs(int(x)) for r in fan.rays for x in r)
+        radius = 1 + max((abs(x) for x in a), default=0) * ray_span
+        hs, top = scan(radius)
+        while top >= radius - 1:
+            radius *= 2
+            hs, top = scan(radius)
+    table = CohomologyTable(hs, radius)
+    fan._cache[("cohomology", a, box)] = table
     return table
 
 

@@ -194,14 +194,6 @@ class FaceComplex:
             buckets[len(f)].append(tuple(sorted(f)))
         return tuple(tuple(sorted(b)) for b in buckets)
 
-    def restrict(self, vertices):
-        """Full subcomplex on the given vertex subset."""
-        keep = frozenset(vertices)
-        faces = [f for f in self.faces if f <= keep]
-        facets = [f for f in faces
-                  if not any(f < g for g in faces)]
-        return FaceComplex(self.vertex_count, faces, facets)
-
     def face_counts(self):
         """Number of faces of each size, index = cardinality."""
         return tuple(len(b) for b in self.faces_by_size)

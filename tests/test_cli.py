@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from toricsplit.cli import main
 
@@ -142,6 +145,22 @@ class TestCohomology:
         assert status == 0
         assert report["result"] == {"dims": [3, 0], "box": 7}
 
+    @pytest.mark.parametrize("variety, coeffs, dims, box", [
+        ("P:1", [-10, 10], [1, 0], 22),
+        ("P:2", [60, 0, 0], [1891, 0, 0], 122),
+        ("P:2", [-150, 0, 0], [0, 0, 11026], 151),
+        ("dP:3", [5, -7, 3, 0, -4, 6], [0, 115, 0], 16),
+        ("Xd:3", [1, -1, 2, 0, -2, 1, 1, -1], [0, 49, 0, 0], 6),
+    ])
+    def test_pinned_dims_and_box(self, capsys, tmp_path, variety, coeffs, dims, box):
+        # the adaptive radius is part of the JSON report, so it is pinned too
+        div = tmp_path / "d.json"
+        div.write_text(json.dumps({"coeffs": coeffs}))
+        status, report = run_json(capsys, "cohomology", "compute",
+                                  "--variety", variety, "--divisor", str(div))
+        assert status == 0
+        assert report["result"] == {"dims": dims, "box": box}
+
 
 def assert_input_error(capsys, *argv):
     """Exit 2 with exactly one line on stderr, an `error:` message."""
@@ -167,6 +186,16 @@ class TestBadInput:
             div = self.write(tmp_path, "d.json", {"coeffs": [coeff, 0, 0]})
             assert_input_error(capsys, "cohomology", "compute", "--variety", "P:2",
                                "--divisor", div)
+
+    def test_box_over_point_budget(self, capsys, tmp_path):
+        # an adaptive start radius of 100001 and a fixed radius of 10^6 both
+        # ask for more than 2^30 degrees on P^2; each is refused at once
+        for coeffs, extra in (([100000, 0, 0], ()), ([3, 0, 0], ("--box", "1000000"))):
+            div = self.write(tmp_path, "d.json", {"coeffs": coeffs})
+            start = time.perf_counter()
+            assert_input_error(capsys, "cohomology", "compute", "--variety", "P:2",
+                               "--divisor", div, *extra)
+            assert time.perf_counter() - start < 1.0
 
     def test_empty_collection(self, capsys, tmp_path):
         coll = self.write(tmp_path, "c.json", {"bundles": []})

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from toricsplit.cohomology import (
-    BoxNotConverged,
     FactorNotStronglyExceptional,
     box_product,
     ext_table,
@@ -111,7 +110,8 @@ class TestLineBundles:
         fan = del_pezzo(3)
         table = line_bundle_cohomology(fan, zero(fan))
         assert table.dims == (1, 0, 0)
-        assert list(table.contributing) == [(0, 0)]
+        # start radius 1 contributes at sup-norm 0 = R - 1, so it doubles once
+        assert table.box == 2
 
     def test_structure_sheaf_everywhere(self):
         for spec in ["P:1", "P:2", "P:3", "dP:1", "dP:2", "dP:3", "F:2",
@@ -132,10 +132,15 @@ class TestLineBundles:
         assert fixed.dims == adaptive.dims
         assert fixed.box == 2 * adaptive.box
 
-    def test_box_ceiling(self):
-        fan = projective_space(1)
-        with pytest.raises(BoxNotConverged):
-            line_bundle_cohomology(fan, (-10, 10), max_doublings=0)
+    def test_box_over_budget(self):
+        # (2R + 1)^n degrees above the point budget are refused, fixed or adaptive
+        fan = projective_space(2)
+        with pytest.raises(ValueError, match="budget"):
+            line_bundle_cohomology(fan, (3, 0, 0), box=2 ** 15)
+        with pytest.raises(ValueError, match="budget"):
+            line_bundle_cohomology(fan, (100000, 0, 0))
+        with pytest.raises(ValueError, match="budget"):
+            line_bundle_cohomology(projective_space(1), (0, 0), box=2 ** 29)
 
     def test_serre_duality_samples(self):
         rng = random.Random(101)
