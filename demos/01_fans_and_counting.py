@@ -3,7 +3,10 @@
 The stars of the show are the odd-dimensional toric Fano varieties with
 maximal Picard number: towers of del Pezzo-6 surfaces fibred over P^1.
 Their maximal cones are reconstructed purely from the primitive-pair list,
-then validated (smoothness, completeness) before anything else runs.
+then validated before anything else runs: smoothness from the cone
+determinants, and completeness exactly, from the walls (two cones on
+opposite sides of each) and one interior point of cone 0 that no other
+cone may contain.
 """
 
 from toricsplit import (

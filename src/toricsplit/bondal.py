@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fan import walls
-from .lattice import NotUnimodular, unimodular_inverse
+from .lattice import NotUnimodular
 
 
 class BasisDegenerate(RuntimeError):
@@ -35,23 +35,24 @@ class WallRelation:
 def wall_relation(fan, wall):
     """Solve u_minus = -u_plus - sum a_i u_i in the basis (wall rays, u_plus).
 
-    The basis consists of the rays of the plus cone, hence is unimodular on a
-    smooth fan; the u_plus coordinate of the solution must be -1.
+    The basis consists of the rays of the plus cone, so the coordinates of
+    u_minus come from that cone's cached exact inverse, which exists on a
+    smooth fan; the u_plus coordinate must be -1.
     """
-    basis = list(wall.rays) + [wall.u_plus]
-    mat = np.array([[fan.rays[j][k] for j in basis] for k in range(fan.dim)],
-                   dtype=object)
+    cone = fan.max_cones[wall.plus_cone]
+    if set(cone) != {*wall.rays, wall.u_plus}:
+        raise BasisDegenerate(
+            f"wall {wall.rays} with u_plus {wall.u_plus}: plus cone is {cone}")
     try:
-        inv = unimodular_inverse(mat)
+        inv = fan.cone_inverses[wall.plus_cone]
     except NotUnimodular as exc:
         raise BasisDegenerate(
-            f"wall {wall.rays} with u_plus {wall.u_plus}: {exc}") from exc
-    target = np.array(fan.rays[wall.u_minus], dtype=object)
-    x = inv @ target
-    if x[-1] != -1:
+            f"wall {wall.rays}: the fan is not smooth ({exc})") from exc
+    coords = dict(zip(cone, np.array(fan.rays[wall.u_minus], dtype=object) @ inv))
+    if coords[wall.u_plus] != -1:
         raise BasisDegenerate(
-            f"wall {wall.rays}: u_plus coordinate is {x[-1]}, expected -1")
-    coeffs = tuple(-int(c) for c in x[:-1])
+            f"wall {wall.rays}: u_plus coordinate is {coords[wall.u_plus]}, expected -1")
+    coeffs = tuple(-int(coords[j]) for j in wall.rays)
     # the relation must hold on the nose
     total = (np.array(fan.rays[wall.u_plus], dtype=object)
              + np.array(fan.rays[wall.u_minus], dtype=object))

@@ -110,6 +110,22 @@ def _load_json(path, what):
         raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
+def _integers(data, key, depth, what, path):
+    """data[key], which must hold JSON integers in lists nested `depth` deep.
+
+    Floats, strings and booleans are refused rather than truncated or cast.
+    """
+    def ok(value, level):
+        if level == 0:
+            return type(value) is int
+        return isinstance(value, list) and all(ok(v, level - 1) for v in value)
+
+    if not (isinstance(data, dict) and key in data and ok(data[key], depth)):
+        shape = ("an integer", "a list of integers", "a list of integer lists")[depth]
+        raise InputError(f"bad {what} file {path}: {key!r} must be {shape}")
+    return data[key]
+
+
 def _load_fan(args, variety_attr="variety", fan_attr="fan"):
     descriptor = getattr(args, variety_attr, None)
     path = getattr(args, fan_attr, None)
@@ -124,8 +140,10 @@ def _load_fan(args, variety_attr="variety", fan_attr="fan"):
             raise InputError(str(exc)) from exc
     data = _load_json(path, "fan")
     try:
-        fan = Fan.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        fan = Fan(_integers(data, "dim", 0, "fan", path),
+                  _integers(data, "rays", 2, "fan", path),
+                  _integers(data, "max_cones", 2, "fan", path))
+    except ValueError as exc:
         raise InputError(f"bad fan file {path}: {exc}") from exc
     report = validate(fan)
     if not report.ok:
@@ -138,11 +156,7 @@ def _load_divisor(args, fan):
     path = getattr(args, "divisor", None)
     if path is None:
         return tuple(0 for _ in fan.rays)
-    data = _load_json(path, "divisor")
-    try:
-        coeffs = tuple(int(x) for x in data["coeffs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad divisor file {path}: {exc}") from exc
+    coeffs = tuple(_integers(_load_json(path, "divisor"), "coeffs", 1, "divisor", path))
     if len(coeffs) != len(fan.rays):
         raise InputError(f"divisor has {len(coeffs)} coefficients, "
                          f"fan has {len(fan.rays)} rays")
@@ -154,10 +168,7 @@ def _load_collection(args, fan, attr="collection"):
     if path is None:
         raise InputError(f"--{attr} is required")
     data = _load_json(path, "collection")
-    try:
-        bundles = [tuple(int(x) for x in b) for b in data["bundles"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad collection file {path}: {exc}") from exc
+    bundles = [tuple(b) for b in _integers(data, "bundles", 2, "collection", path)]
     for b in bundles:
         if len(b) != len(fan.rays):
             raise InputError(f"bundle {list(b)} does not match the fan's "

@@ -11,7 +11,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -319,24 +318,34 @@ def maximal_cones_from_primitive_pairs(rays, forbidden_pairs):
 
     For a fan whose primitive collections are all pairs, the faces are the
     index sets containing no forbidden pair, and the maximal cones are the
-    size-n ones.  Raises ConstructionFailed when an independent set is not
-    unimodular: that means the pair list does not describe a smooth fan.
+    size-n ones.  They are found by a backtracking walk in increasing ray
+    order, which keeps a bitmask of the rays that conflict with the set so
+    far, so they come out in lexicographic order.  Raises ConstructionFailed
+    when an independent set is not unimodular: that means the pair list does
+    not describe a smooth fan.
     """
     rays = [tuple(r) for r in rays]
-    n = len(rays[0])
-    masks = []
+    n, count = len(rays[0]), len(rays)
+    conflicts = [0] * count
     for p in forbidden_pairs:
         p = tuple(p)
         if len(p) != 2:
             raise ValueError(f"forbidden set {p} must be a pair")
-        masks.append((1 << p[0]) | (1 << p[1]))
+        if not all(0 <= i < count for i in p):
+            raise ValueError(f"forbidden pair {p} references a ray out of range")
+        conflicts[p[0]] |= 1 << p[1]
+        conflicts[p[1]] |= 1 << p[0]
+
+    def extend(chosen, blocked):
+        if len(chosen) == n:
+            yield tuple(chosen)
+            return
+        for i in range((chosen[-1] + 1) if chosen else 0, count - n + len(chosen) + 1):
+            if not (blocked | conflicts[i]) >> i & 1:
+                yield from extend(chosen + [i], blocked | conflicts[i])
+
     cones = []
-    for combo in itertools.combinations(range(len(rays)), n):
-        cmask = 0
-        for i in combo:
-            cmask |= 1 << i
-        if any(m & cmask == m for m in masks):
-            continue
+    for combo in extend([], 0):
         det = determinant([rays[i] for i in combo])
         if det not in (1, -1):
             raise ConstructionFailed(
@@ -402,83 +411,49 @@ def _facet_incidence(fan):
     return inc
 
 
-def _battery_points(fan):
-    """Deterministic completeness battery: +-rays and pairwise midpoints.
+def _side(fan, facet, ci, dets):
+    """Side of the facet that cone ci lies on: whether det(facet rays, u) > 0.
 
-    Scaled by 2 so everything stays integral; cone membership is invariant
-    under positive scaling.
+    Moving u, the cone's ray off the facet, from its sorted place in the
+    cone's matrix to the last row takes one row swap per facet ray above u.
     """
-    pm = []
-    for r in fan.rays:
-        pm.append(tuple(2 * x for x in r))
-        pm.append(tuple(-2 * x for x in r))
-    points = set(pm)
-    for a, b in itertools.combinations(pm, 2):
-        points.add(tuple((x + y) // 2 for x, y in zip(a, b)))
-    points.discard(tuple(0 for _ in range(fan.dim)))
-    return sorted(points)
+    (u,) = set(fan.max_cones[ci]) - set(facet)
+    return (dets[ci] > 0) ^ (sum(j > u for j in facet) % 2)
 
 
-def _covers_points_smooth(fan, points):
-    """Vectorised membership check using the exact integer cone inverses.
+def _cones_containing(fan, point, dets):
+    """Number of closed maximal cones that contain `point`.
 
-    Entries too large for the int64 products go to the exact rational check.
+    On a smooth fan the point's coordinates on a cone's rays come from the
+    cached exact inverses.  Otherwise Cramer's rule gives their signs:
+    coordinate i has the sign of det(cone, row i replaced by the point)
+    times det(cone).
     """
-    bound = max([abs(x) for pt in points for x in pt]
-                + [int(np.abs(b).max()) for b in fan.cone_inverses])
-    if fan.dim * bound * bound >= 2 ** 63:
-        return _covers_points_general(fan, points)
-    bs = [np.array(b.tolist(), dtype=np.int64) for b in fan.cone_inverses]
-    pts = np.array(points, dtype=np.int64)
-    missing = np.ones(len(points), dtype=bool)
-    for b in bs:
-        lam = pts @ b  # row i: coefficients of point i on the cone's rays
-        missing &= ~(lam >= 0).all(axis=1)
-        if not missing.any():
-            return []
-    return [points[i] for i in np.nonzero(missing)[0]]
-
-
-def _covers_points_general(fan, points):
-    """Fraction-based membership for fans that are not smooth."""
-    missing = []
-    mats = [[[Fraction(x) for x in fan.rays[j]] for j in cone]
-            for cone in fan.max_cones]
-    for pt in points:
-        found = False
-        for cols in mats:
-            lam = _solve_fractions(cols, pt)
-            if lam is not None and all(x >= 0 for x in lam):
-                found = True
-                break
-        if not found:
-            missing.append(pt)
-    return missing
-
-
-def _solve_fractions(columns, rhs):
-    """Solve the square system (columns as a matrix's columns) = rhs over Q."""
-    n = len(columns)
-    a = [[columns[j][i] for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    if all(d in (1, -1) for d in dets):
+        return sum(all(x >= 0 for x in point @ inv) for inv in fan.cone_inverses)
+    rows = np.arange(fan.dim)[:, None]
+    return sum(all(determinant(np.where(rows == i, point, mat)) * det >= 0
+                   for i in range(fan.dim))
+               for mat, det in zip(fan.cone_matrices, dets))
 
 
 def validate(fan):
     """Check smoothness and completeness; simpliciality holds by representation.
 
-    Completeness combines the pseudomanifold criterion (every wall candidate
-    in exactly two maximal cones) with an exact sample-point coverage battery.
+    The fan is complete exactly when all four of these hold:
+
+    1. every maximal cone has a nonzero determinant;
+    2. every wall candidate (dim - 1 rays of a maximal cone) lies in exactly
+       two maximal cones;
+    3. those two cones lie on opposite sides of the wall;
+    4. the sum of cone 0's rays lies in exactly one closed maximal cone.
+
+    By 1-3 a path that leaves a cone through a facet enters exactly one
+    other cone, so all points off the codimension-2 faces lie in the same
+    number of cones: the cones cover space with some degree.  Near the point
+    of 4 only cone 0 covers, so the degree is one: every point is covered
+    and no two cones overlap.  A multi-fan winding twice around the origin
+    passes 1-3 and fails 4.  All four tests are exact.
     """
     key = "validation"
     if key in fan._cache:
@@ -490,20 +465,27 @@ def validate(fan):
     for cone, d in bad[:5]:
         messages.append(f"cone {cone} has determinant {d}")
 
-    complete = True
-    for facet, adj in _facet_incidence(fan).items():
+    complete = 0 not in dets
+    if not complete:
+        messages.append(f"cone {fan.max_cones[dets.index(0)]} is not full-dimensional")
+    incidence = _facet_incidence(fan)
+    for facet, adj in incidence.items():
         if len(adj) != 2:
             complete = False
             messages.append(f"wall candidate {facet} lies in {len(adj)} maximal cones")
     if complete:
-        points = _battery_points(fan)
-        if smooth:
-            missing = _covers_points_smooth(fan, points)
-        else:
-            missing = _covers_points_general(fan, points)
-        if missing:
+        for facet, (a, b) in incidence.items():
+            if _side(fan, facet, a, dets) == _side(fan, facet, b, dets):
+                complete = False
+                messages.append(f"the two cones at wall {facet} lie on the same side of it")
+                break
+    if complete:
+        point = sum(fan.ray_matrix[j] for j in fan.max_cones[0])
+        count = _cones_containing(fan, point, dets)
+        if count != 1:
             complete = False
-            messages.append(f"sample point {missing[0]} not covered by any maximal cone")
+            messages.append(f"point {tuple(int(x) for x in point)} of cone "
+                            f"{fan.max_cones[0]} lies in {count} maximal cones")
     report = ValidationReport(smooth, complete, True, tuple(messages))
     fan._cache[key] = report
     return report

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from toricsplit import bondal
 from toricsplit.bondal import BasisDegenerate, bondal_criterion, wall_relation
 from toricsplit.fan import build_named, del_pezzo_bundle, hirzebruch, projective_space, walls
-from toricsplit.fan import Wall
+from toricsplit.fan import Fan, Wall
 
 
 def relation_closes(fan, rel):
@@ -59,20 +58,33 @@ class TestWallRelation:
         assert wall_relation(fan, w).coeffs == ()
 
 
-    def test_relation_that_does_not_close(self, monkeypatch):
-        # a wrong inverse that keeps the u_plus coordinate at -1 yields a
-        # relation that does not close; that is an error, not a result
-        real_inverse = bondal.unimodular_inverse
-
-        def skewed(mat):
-            inv = real_inverse(mat)
-            inv[0] = inv[0] + inv[-1]
-            return inv
-
-        monkeypatch.setattr(bondal, "unimodular_inverse", skewed)
+    def test_relation_that_does_not_close(self):
+        # a wrong cached inverse that keeps the u_plus coordinate at -1
+        # yields a relation that does not close; that is an error, not a result
         fan = projective_space(2)
+        wall = walls(fan)[0]
+        cone = fan.max_cones[wall.plus_cone]
+        inverses = list(fan.cone_inverses)
+        skewed = inverses[wall.plus_cone].copy()
+        first, plus = cone.index(wall.rays[0]), cone.index(wall.u_plus)
+        skewed[:, first] = skewed[:, first] + skewed[:, plus]
+        inverses[wall.plus_cone] = skewed
+        fan.cone_inverses = tuple(inverses)
         with pytest.raises(BasisDegenerate, match="does not close"):
+            wall_relation(fan, wall)
+
+    def test_singular_fan_is_degenerate(self):
+        # P(1,1,2) has no unimodular cone inverses
+        fan = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(BasisDegenerate, match="not smooth"):
             wall_relation(fan, walls(fan)[0])
+
+    def test_wall_with_wrong_plus_cone(self):
+        fan = projective_space(2)
+        w = walls(fan)[0]
+        wrong = Wall(w.rays, w.minus_cone, w.plus_cone, w.u_plus, w.u_minus)
+        with pytest.raises(BasisDegenerate, match="plus cone"):
+            wall_relation(fan, wrong)
 
 
 class TestSurfaceSelfIntersections:

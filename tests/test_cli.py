@@ -211,9 +211,56 @@ class TestBadInput:
         assert_input_error(capsys, "collection", "order", "--variety", "P:2",
                            "--collection", coll)
 
+    def test_multi_fan(self, capsys, tmp_path):
+        # unimodular cones that wind twice around the origin (Hattori-Masuda)
+        fan = self.write(tmp_path, "f.json", {
+            "dim": 2, "rays": [[1, 0], [0, 1], [-1, -2], [2, 3], [-1, -1], [0, -1]],
+            "max_cones": [[i, (i + 1) % 6] for i in range(6)]})
+        for argv in (("variety", "info", "--fan", fan),
+                     ("frobenius", "split", "--fan", fan, "--p", "3"),
+                     ("cohomology", "compute", "--fan", fan),
+                     ("bondal", "check", "--fan", fan)):
+            assert_input_error(capsys, *argv)
+
+    def test_missing_and_overlapping_cones(self, capsys, tmp_path):
+        for rays, cones in (([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2]]),
+                            ([[1, 0], [0, 1], [-1, -1], [1, 1]],
+                             [[0, 1], [1, 2], [0, 2], [0, 3]])):
+            fan = self.write(tmp_path, "f.json",
+                             {"dim": 2, "rays": rays, "max_cones": cones})
+            assert_input_error(capsys, "variety", "info", "--fan", fan)
+
+    @pytest.mark.parametrize("data", [
+        {"dim": 2.0, "rays": [[1, 0], [0, 1], [-1, -1]],
+         "max_cones": [[0, 1], [1, 2], [0, 2]]},
+        {"dim": 2, "rays": [[1, 0], [0, 1.7], [-1, -1]],
+         "max_cones": [[0, 1], [1, 2], [0, 2]]},
+        {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+         "max_cones": [[0, 1], [1, "2"], [0, 2]]},
+        {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
+    ])
+    def test_non_integer_fan(self, capsys, tmp_path, data):
+        fan = self.write(tmp_path, "f.json", data)
+        assert_input_error(capsys, "variety", "info", "--fan", fan)
+
+    @pytest.mark.parametrize("coeffs", [[1.9, 0, 0], ["3", 0, 0], [True, 0, 0],
+                                        [1.0, 0, 0], 3])
+    def test_non_integer_divisor(self, capsys, tmp_path, coeffs):
+        div = self.write(tmp_path, "d.json", {"coeffs": coeffs})
+        assert_input_error(capsys, "cohomology", "compute", "--variety", "P:2",
+                           "--divisor", div)
+
+    @pytest.mark.parametrize("bundles", [[[0, 0, 0], [1.0, 0, 0]],
+                                         [[0, 0, 0], [False, 0, 0]],
+                                         [[0, 0, 0], "100"], [0, 1]])
+    def test_non_integer_collection(self, capsys, tmp_path, bundles):
+        coll = self.write(tmp_path, "c.json", {"bundles": bundles})
+        assert_input_error(capsys, "collection", "verify", "--variety", "P:2",
+                           "--collection", coll)
+
     def test_fan_beyond_int64_is_validated_exactly(self, capsys, tmp_path):
-        # the Hirzebruch surface F_a with a = 2^40: its completeness battery
-        # leaves the int64 range and goes to the exact rational check
+        # the Hirzebruch surface F_a with a = 2^40: its cone inverses hold
+        # entries of 2^40, and validation works on them in exact integers
         a = 2 ** 40
         fan = self.write(tmp_path, "f.json", {
             "dim": 2, "rays": [[1, 0], [0, 1], [-1, a], [0, -1]],

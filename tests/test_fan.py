@@ -23,6 +23,9 @@ from toricsplit.fan import (
     walls,
 )
 
+# Hattori-Masuda multi-fan: unimodular cyclic rays that wind twice.
+HATTORI_MASUDA_RAYS = ((1, 0), (0, 1), (-1, -2), (2, 3), (-1, -1), (0, -1))
+
 # d=3 tower ray order: v0..v4 are indices 0..4, w0..w2 are 5..7.
 TOWER3_RAYS = (
     (1, 0, 0),    # v0 = e0
@@ -166,6 +169,23 @@ class TestConesFromPairs:
                 count += 1
         assert count == 12
 
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_matches_subset_filter(self, d):
+        # the backtracking walk gives the same cones, in the same order, as
+        # filtering every d-subset of rays through the pair masks
+        rays, pairs = tower_rays(d), tower_primitive_pairs(d)
+        masks = [(1 << a) | (1 << b) for a, b in pairs]
+        expected = tuple(
+            combo for combo in itertools.combinations(range(len(rays)), d)
+            if not any(m & sum(1 << i for i in combo) == m for m in masks))
+        assert maximal_cones_from_primitive_pairs(rays, pairs) == expected
+
+    def test_rejects_bad_pairs(self):
+        with pytest.raises(ValueError):
+            maximal_cones_from_primitive_pairs([(1,), (-1,)], [(0, 1, 1)])
+        with pytest.raises(ValueError):
+            maximal_cones_from_primitive_pairs([(1,), (-1,)], [(0, 2)])
+
 
 class TestProduct:
     def test_p1_p1(self):
@@ -241,6 +261,51 @@ class TestValidate:
         fan = Fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
                   [(0, 1), (1, 2), (0, 2), (0, 3)])
         assert not validate(fan).complete
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_non_smooth_complete_in_any_ray_order(self, order):
+        # P(1,1,2) again: the ray order moves the signs of the cone
+        # determinants, which the side and Cramer tests must follow
+        rays = [[(1, 0), (0, 1), (-1, -2)][i] for i in order]
+        report = validate(Fan(2, rays, [(0, 1), (1, 2), (0, 2)]))
+        assert not report.smooth and report.complete
+
+    def test_multi_fan_winding_twice_not_complete(self):
+        # consecutive determinants are all 1 and every wall has its two cones
+        # on opposite sides, but the cones wind twice around the origin
+        fan = Fan(2, HATTORI_MASUDA_RAYS, [(i, (i + 1) % 6) for i in range(6)])
+        report = validate(fan)
+        assert report.smooth and not report.complete
+        assert report.messages == ("point (1, 1) of cone (0, 1) lies in 2 maximal cones",)
+
+    def test_singular_multi_fan_not_complete(self):
+        # the image of that multi-fan under (x, y) -> (2x + y, x + 2y): the
+        # cones are not unimodular, so the point count uses Cramer's rule
+        fan = Fan(2, [(2, 1), (1, 2), (-4, -5), (7, 8), (-1, -1), (-1, -2)],
+                  [(i, (i + 1) % 6) for i in range(6)])
+        report = validate(fan)
+        assert not report.smooth and not report.complete
+        assert report.messages[-1] == "point (3, 3) of cone (0, 1) lies in 2 maximal cones"
+
+    def test_cones_on_one_side_not_complete(self):
+        # rays (1,0), (0,1), (2,1), (0,-1): every ray lies in two cones, but
+        # the cones at (0,1) both lie to its right
+        fan = Fan(2, [(1, 0), (0, 1), (2, 1), (0, -1)],
+                  [(0, 1), (1, 2), (2, 3), (0, 3)])
+        report = validate(fan)
+        assert not report.complete
+        assert report.messages[-1] == "the two cones at wall (1,) lie on the same side of it"
+
+    def test_degenerate_cone_not_complete(self):
+        fan = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                  [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+        report = validate(fan)
+        assert not report.smooth and not report.complete
+        assert "cone (0, 2) is not full-dimensional" in report.messages
+
+    def test_line(self):
+        assert validate(Fan(1, [(1,), (-1,)], [(0,), (1,)])).complete
+        assert not validate(Fan(1, [(1,)], [(0,)])).complete
 
     def test_structural_errors(self):
         with pytest.raises(ValueError):
