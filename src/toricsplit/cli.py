@@ -220,13 +220,20 @@ def _cmd_frobenius(args):
         raise InputError(f"--p must be >= 1, got {args.p}")
     if not 0 <= args.base_cone < len(fan.max_cones):
         raise InputError(f"--base-cone must be in [0, {len(fan.max_cones)})")
-    result = frobenius_mod.thomsen_split(fan, div, args.p, args.base_cone)
+    check = args.action == "split" and not args.no_stabilization_check and args.p >= 2
+    try:
+        # the larger split at p+2 goes first, so that the summand limit
+        # refuses an input before any work is done
+        ahead = frobenius_mod.thomsen_split(fan, div, args.p + 2) if check else None
+    except ValueError as exc:
+        raise InputError(f"{exc}; the stabilization check splits at p+2 = {args.p + 2} "
+                         "(--no-stabilization-check skips it)") from exc
+    with _input_errors():
+        result = frobenius_mod.thomsen_split(fan, div, args.p, args.base_cone)
     if args.action == "split":
-        if not args.no_stabilization_check and args.p >= 2:
-            ahead = frobenius_mod.thomsen_split(fan, div, args.p + 2)
-            if ahead.classes.keys() != result.classes.keys():
-                print(f"warning: splitting class set differs between "
-                      f"p={args.p} and p={args.p + 2}", file=sys.stderr)
+        if check and ahead.classes.keys() != result.classes.keys():
+            print(f"warning: splitting class set differs between "
+                  f"p={args.p} and p={args.p + 2}", file=sys.stderr)
         return _split_payload(result), 0
     report = frobenius_mod.verify_splitting_invariants(result)
     payload = {

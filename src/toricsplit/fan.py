@@ -9,13 +9,14 @@ with maximal Picard number (del Pezzo-6 towers over P^1).
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .lattice import as_matrix, determinant, unimodular_inverse
+from .lattice import NotUnimodular, adjugate, as_matrix
 
 
 class InvalidSpec(ValueError):
@@ -28,15 +29,6 @@ class ConstructionFailed(RuntimeError):
 
 class NotComplete(RuntimeError):
     """A wall candidate is not shared by exactly two maximal cones."""
-
-
-def _gcd_all(xs):
-    g = 0
-    for x in xs:
-        x = abs(int(x))
-        while x:
-            g, x = x, g % x
-    return g
 
 
 class Fan:
@@ -56,7 +48,7 @@ class Fan:
         for r in rays:
             if len(r) != dim:
                 raise ValueError(f"ray {r} does not have dimension {dim}")
-            if _gcd_all(r) != 1:
+            if math.gcd(*r) != 1:
                 raise ValueError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("ray generators must be pairwise distinct")
@@ -93,9 +85,17 @@ class Fan:
                      for cone in self.max_cones)
 
     @cached_property
+    def cone_adjugates(self):
+        """Per maximal cone: (det, adj) of its matrix, from one exact elimination."""
+        return tuple(adjugate(m) for m in self.cone_matrices)
+
+    @cached_property
     def cone_inverses(self):
-        """Inverse of each cone matrix; only exists when the fan is smooth."""
-        return tuple(unimodular_inverse(m) for m in self.cone_matrices)
+        """Inverse of each cone matrix; raises NotUnimodular unless the fan is smooth."""
+        for cone, (det, _) in zip(self.max_cones, self.cone_adjugates):
+            if det not in (1, -1):
+                raise NotUnimodular(f"cone {cone} has determinant {det}")
+        return tuple(det * adj for det, adj in self.cone_adjugates)
 
     @cached_property
     def face_complex(self):
@@ -314,15 +314,14 @@ def del_pezzo_bundle(d):
 
 
 def maximal_cones_from_primitive_pairs(rays, forbidden_pairs):
-    """All unimodular size-n independent sets of the non-face pair graph.
+    """All size-n independent sets of the non-face pair graph.
 
     For a fan whose primitive collections are all pairs, the faces are the
     index sets containing no forbidden pair, and the maximal cones are the
     size-n ones.  They are found by a backtracking walk in increasing ray
     order, which keeps a bitmask of the rays that conflict with the set so
-    far, so they come out in lexicographic order.  Raises ConstructionFailed
-    when an independent set is not unimodular: that means the pair list does
-    not describe a smooth fan.
+    far, so they come out in lexicographic order.  Whether they form a
+    smooth complete fan is left to `validate`.
     """
     rays = [tuple(r) for r in rays]
     n, count = len(rays[0]), len(rays)
@@ -344,15 +343,7 @@ def maximal_cones_from_primitive_pairs(rays, forbidden_pairs):
             if not (blocked | conflicts[i]) >> i & 1:
                 yield from extend(chosen + [i], blocked | conflicts[i])
 
-    cones = []
-    for combo in extend([], 0):
-        det = determinant([rays[i] for i in combo])
-        if det not in (1, -1):
-            raise ConstructionFailed(
-                f"independent set {combo} has determinant {det}; "
-                "the primitive pair list does not define a smooth fan")
-        cones.append(combo)
-    return tuple(cones)
+    return tuple(extend([], 0))
 
 
 def fan_product(f1, f2):
@@ -377,8 +368,6 @@ def build_named(spec):
     spec = spec.strip()
     if "*" in spec:
         factors = [build_named(part) for part in spec.split("*")]
-        if any(f is None for f in factors):
-            raise InvalidSpec(f"bad product descriptor {spec!r}")
         fan = factors[0]
         for f in factors[1:]:
             fan = fan_product(fan, f)
@@ -421,20 +410,15 @@ def _side(fan, facet, ci, dets):
     return (dets[ci] > 0) ^ (sum(j > u for j in facet) % 2)
 
 
-def _cones_containing(fan, point, dets):
+def _cones_containing(fan, point):
     """Number of closed maximal cones that contain `point`.
 
-    On a smooth fan the point's coordinates on a cone's rays come from the
-    cached exact inverses.  Otherwise Cramer's rule gives their signs:
-    coordinate i has the sign of det(cone, row i replaced by the point)
-    times det(cone).
+    The point's coordinates on a cone's rays are (point @ adj) / det, so
+    coordinate i has the sign of (point @ adj)[i] * det; (point @ adj)[i]
+    is Cramer's det(cone, row i replaced by the point).  Every cone
+    determinant must be nonzero.
     """
-    if all(d in (1, -1) for d in dets):
-        return sum(all(x >= 0 for x in point @ inv) for inv in fan.cone_inverses)
-    rows = np.arange(fan.dim)[:, None]
-    return sum(all(determinant(np.where(rows == i, point, mat)) * det >= 0
-                   for i in range(fan.dim))
-               for mat, det in zip(fan.cone_matrices, dets))
+    return sum(all(x * det >= 0 for x in point @ adj) for det, adj in fan.cone_adjugates)
 
 
 def validate(fan):
@@ -448,6 +432,9 @@ def validate(fan):
     3. those two cones lie on opposite sides of the wall;
     4. the sum of cone 0's rays lies in exactly one closed maximal cone.
 
+    All four read the cones' determinants and adjugates, which one exact
+    elimination per cone computes and `Fan.cone_adjugates` caches.
+
     By 1-3 a path that leaves a cone through a facet enters exactly one
     other cone, so all points off the codimension-2 faces lie in the same
     number of cones: the cones cover space with some degree.  Near the point
@@ -459,7 +446,7 @@ def validate(fan):
     if key in fan._cache:
         return fan._cache[key]
     messages = []
-    dets = [determinant(m) for m in fan.cone_matrices]
+    dets = [det for det, _ in fan.cone_adjugates]
     bad = [(fan.max_cones[i], d) for i, d in enumerate(dets) if d not in (1, -1)]
     smooth = not bad
     for cone, d in bad[:5]:
@@ -481,7 +468,7 @@ def validate(fan):
                 break
     if complete:
         point = sum(fan.ray_matrix[j] for j in fan.max_cones[0])
-        count = _cones_containing(fan, point, dets)
+        count = _cones_containing(fan, point)
         if count != 1:
             complete = False
             messages.append(f"point {tuple(int(x) for x in point)} of cone "

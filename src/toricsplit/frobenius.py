@@ -9,9 +9,10 @@ the rays of l; then
 
     D_v = -floor((D + div chi^m) / p),   m = B_l (v - u_l),
 
-so the coefficient of D_v on ray v_j is -floor((<m, v_j> + a_j) / p).  All
-p^n summands come out of one exact object-dtype array expression, so memory
-is O(p^n * #rays).  Summands are grouped by Picard class.
+so the coefficient of D_v on ray v_j is -floor((<m, v_j> + a_j) / p).  The
+summands come out of one exact object-dtype array expression per block of
+_BLOCK exponent vectors, so grouping them by Picard class takes memory
+O(_BLOCK * #rays).  At most _MAX_SUMMANDS summands are enumerated.
 """
 
 import itertools
@@ -22,21 +23,47 @@ import numpy as np
 from .divisor import _coeffs, _pic_projection, linearly_equivalent
 
 
-def summand_divisors(fan, divisor, p, base_cone=0):
-    """All p^n summands D_v as the rows of an object-dtype (p^n, #rays) array.
+_BLOCK = 2 ** 14
+_MAX_SUMMANDS = 2 ** 24
 
-    Row k belongs to the k-th exponent vector v of
-    itertools.product(range(p), repeat=n), i.e. v in lexicographic order.
-    p is any integer >= 1; primality plays no role in the combinatorics.
+
+def _summand_blocks(fan, divisor, p, base_cone):
+    """The summands D_v as object-dtype arrays of at most _BLOCK rows each.
+
+    Rows follow the exponent vectors v of itertools.product(range(p),
+    repeat=n), i.e. v in lexicographic order.  The arguments are checked,
+    the summand count p^n against _MAX_SUMMANDS included, before the first
+    block is made.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if not 0 <= base_cone < len(fan.max_cones):
         raise ValueError(f"base cone index {base_cone} out of range")
+    if p ** fan.dim > _MAX_SUMMANDS:
+        raise ValueError(f"p^n = {p}^{fan.dim} summands exceed the limit of "
+                         f"2^24 = {_MAX_SUMMANDS}")
     a = np.array(_coeffs(fan, divisor), dtype=object)
-    v = np.array(list(itertools.product(range(p), repeat=fan.dim)), dtype=object)
-    m = (v - a[list(fan.max_cones[base_cone])]) @ fan.cone_inverses[base_cone].T
-    return -((m @ fan.ray_matrix.T + a) // p)
+    # -D_v = floor((v @ pairing - shift) / p), with m = (v - u_l) @ B_l^T
+    pairing = fan.cone_inverses[base_cone].T @ fan.ray_matrix.T
+    shift = a[list(fan.max_cones[base_cone])] @ pairing - a
+    vectors = itertools.product(range(p), repeat=fan.dim)
+
+    def blocks():
+        while block := list(itertools.islice(vectors, _BLOCK)):
+            yield -((np.array(block, dtype=object) @ pairing - shift) // p)
+
+    return blocks()
+
+
+def summand_divisors(fan, divisor, p, base_cone=0):
+    """All p^n summands D_v as the rows of an object-dtype (p^n, #rays) array.
+
+    Row k belongs to the k-th exponent vector v of
+    itertools.product(range(p), repeat=n), i.e. v in lexicographic order.
+    p is any integer >= 1 with p^n <= _MAX_SUMMANDS; primality plays no
+    role in the combinatorics.
+    """
+    return np.concatenate(list(_summand_blocks(fan, divisor, p, base_cone)))
 
 
 @dataclass
@@ -70,16 +97,18 @@ class SplittingResult:
 def thomsen_split(fan, divisor, p, base_cone=0):
     """All p^n summands grouped by Picard class, in one pass over the rows.
 
-    p is any integer >= 1; the first row of each class is its representative.
+    p is any integer >= 1 with p^n <= _MAX_SUMMANDS; the first row of each
+    class is its representative.
     """
-    summands = summand_divisors(fan, divisor, p, base_cone)
-    class_vectors = summands @ _pic_projection(fan).T
+    projection = _pic_projection(fan).T
     classes = {}
-    for c, dv in zip(map(tuple, class_vectors.tolist()), map(tuple, summands.tolist())):
-        if c in classes:
-            classes[c][0] += 1
-        else:
-            classes[c] = [1, dv]
+    for summands in _summand_blocks(fan, divisor, p, base_cone):
+        class_vectors = summands @ projection
+        for c, dv in zip(map(tuple, class_vectors.tolist()), map(tuple, summands.tolist())):
+            if c in classes:
+                classes[c][0] += 1
+            else:
+                classes[c] = [1, dv]
     return SplittingResult(fan, _coeffs(fan, divisor), p, base_cone,
                            {c: (m, rep) for c, (m, rep) in classes.items()})
 

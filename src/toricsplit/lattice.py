@@ -6,6 +6,8 @@ multipliers in particular) can grow without silent overflow.  Matrices are
 row-major; a vector is a 1-d array.
 """
 
+import math
+
 import numpy as np
 
 
@@ -17,59 +19,87 @@ class NotUnimodular(ValueError):
     """Matrix has determinant different from +1 or -1."""
 
 
-def as_matrix(data):
-    """Coerce nested sequences (or an array) to a 2-d object array of ints."""
-    m = np.array(data, dtype=object)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    for x in m.flat:
+def _as_array(data, ndim, what):
+    a = np.array(data, dtype=object)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d {what}, got ndim={a.ndim}")
+    for x in a.flat:
         if not isinstance(x, (int, np.integer)):
             raise ValueError(f"non-integer entry {x!r}")
-    return m
+    return a
+
+
+def as_matrix(data):
+    """Coerce nested sequences (or an array) to a 2-d object array of ints."""
+    return _as_array(data, 2, "matrix")
 
 
 def as_vector(data):
     """Coerce a sequence (or an array) to a 1-d object array of ints."""
-    v = np.array(data, dtype=object)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got ndim={v.ndim}")
-    for x in v.flat:
-        if not isinstance(x, (int, np.integer)):
-            raise ValueError(f"non-integer entry {x!r}")
-    return v
+    return _as_array(data, 1, "vector")
 
 
 def identity(n):
-    return np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                    dtype=object)
+    m = np.zeros((n, n), dtype=object)
+    np.fill_diagonal(m, 1)
+    return m
+
+
+def _eliminate(m):
+    """Fraction-free Gauss-Jordan elimination (Bareiss-Montante) on [m | I].
+
+    Step k swaps in a nonzero pivot from below if needed, then replaces
+    every other row r by (a_kk * r - a_rk * row k) / (previous pivot); the
+    division is exact by Sylvester's identity.  Afterwards the left half is
+    det * I and the right half det * m^-1, both up to the swaps' sign.
+    Returns (det, adj), or (0, None) when some column has no pivot.
+    """
+    a = as_matrix(m)
+    n, cols = a.shape
+    if n != cols:
+        raise NotSquare(f"expected a square matrix, got {n}x{cols}")
+    a = np.concatenate([a, identity(n)], axis=1)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r, k] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            sign = -sign
+        pivot_row = a[k].copy()
+        a = (a[k, k] * a - a[:, k:k + 1] * pivot_row) // prev
+        a[k] = pivot_row
+        prev = pivot_row[k]
+    return sign * prev, sign * a[:, n:]
 
 
 def determinant(m):
-    """Exact determinant via Bareiss fraction-free elimination."""
-    a = as_matrix(m).copy()
-    rows, cols = a.shape
-    if rows != cols:
-        raise NotSquare(f"determinant of a {rows}x{cols} matrix")
-    n = rows
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k, k] == 0:
-            for r in range(k + 1, n):
-                if a[r, k] != 0:
-                    a[[k, r]] = a[[r, k]]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i, j] = (a[i, j] * a[k, k] - a[i, k] * a[k, j]) // prev
-            a[i, k] = 0
-        prev = a[k, k]
-    return sign * a[n - 1, n - 1]
+    """Exact determinant of a square matrix."""
+    return _eliminate(m)[0]
+
+
+def adjugate(m):
+    """(det m, adj m) of a square matrix, with m @ adj == adj @ m == det * I.
+
+    One elimination gives both; a singular matrix, which has no pivot in
+    some column, gets its adjugate from the determinants of its minors.
+    """
+    det, adj = _eliminate(m)
+    if adj is None:
+        a = as_matrix(m)
+        n = len(a)
+        adj = np.array([[(-1) ** (i + j) * determinant(np.delete(np.delete(a, j, 0), i, 1))
+                         for j in range(n)] for i in range(n)], dtype=object)
+    return det, adj
+
+
+def unimodular_inverse(m):
+    """Exact inverse of a matrix in GL_n(Z), which is det * adj."""
+    det, adj = _eliminate(m)
+    if det not in (1, -1):
+        raise NotUnimodular(f"matrix has determinant {det}")
+    return det * adj
 
 
 def _exgcd(a, b):
@@ -85,56 +115,6 @@ def _exgcd(a, b):
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def unimodular_inverse(m):
-    """Exact inverse of a matrix in GL_n(Z).
-
-    Row-reduces [m | I] over Z with determinant-one row operations; raises
-    NotUnimodular as soon as a pivot other than +-1 shows up.
-    """
-    a = as_matrix(m).copy()
-    rows, cols = a.shape
-    if rows != cols:
-        raise NotSquare(f"cannot invert a {rows}x{cols} matrix")
-    n = rows
-    inv = identity(n)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r, col] != 0), None)
-        if piv is None:
-            raise NotUnimodular("matrix is singular")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-            a[col] = -a[col]
-            inv[col] = -inv[col]
-        for r in range(col + 1, n):
-            if a[r, col] == 0:
-                continue
-            if a[r, col] % a[col, col] == 0:
-                q = a[r, col] // a[col, col]
-                a[r] = a[r] - q * a[col]
-                inv[r] = inv[r] - q * inv[col]
-                continue
-            g, x, y = _exgcd(a[col, col], a[r, col])
-            p, q = a[col, col] // g, a[r, col] // g
-            rc, rr = a[col].copy(), a[r].copy()
-            a[col], a[r] = x * rc + y * rr, -q * rc + p * rr
-            rc, rr = inv[col].copy(), inv[r].copy()
-            inv[col], inv[r] = x * rc + y * rr, -q * rc + p * rr
-    for i in range(n):
-        if a[i, i] == -1:
-            a[i] = -a[i]
-            inv[i] = -inv[i]
-        elif a[i, i] != 1:
-            raise NotUnimodular(f"invariant factor {a[i, i]} on the diagonal")
-    for col in range(n - 1, 0, -1):
-        for r in range(col):
-            q = a[r, col]
-            if q != 0:
-                a[r] = a[r] - q * a[col]
-                inv[r] = inv[r] - q * inv[col]
-    return inv
 
 
 def smith_normal_form(m):
@@ -263,9 +243,7 @@ def rank(m):
             if a[r, col] != 0:
                 a[r] = a[r] * a[row, col] - a[row] * a[r, col]
                 # keep entries small
-                g = 0
-                for x in a[r]:
-                    g = _gcd_int(g, abs(int(x)))
+                g = math.gcd(*a[r])
                 if g > 1:
                     a[r] = a[r] // g
         rk += 1
@@ -273,9 +251,3 @@ def rank(m):
         if row == rows:
             break
     return rk
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a

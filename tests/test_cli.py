@@ -197,6 +197,21 @@ class TestBadInput:
                                "--divisor", div, *extra)
             assert time.perf_counter() - start < 1.0
 
+    def test_summands_over_limit(self, capsys):
+        # p^n = 10^10 summands are refused before any is enumerated; with the
+        # default stabilization check the message names the flag that skips it
+        start = time.perf_counter()
+        assert_input_error(capsys, "frobenius", "split", "--variety", "P:2",
+                           "--p", "100000")
+        assert time.perf_counter() - start < 1.0
+        status, _, err = run(capsys, "frobenius", "split", "--variety", "P:2",
+                             "--p", "100000")
+        assert "--no-stabilization-check" in err
+        assert_input_error(capsys, "frobenius", "split", "--variety", "P:2",
+                           "--p", "100000", "--no-stabilization-check")
+        assert_input_error(capsys, "frobenius", "verify", "--variety", "P:2",
+                           "--p", "5000")
+
     def test_empty_collection(self, capsys, tmp_path):
         coll = self.write(tmp_path, "c.json", {"bundles": []})
         for action in ("order", "verify"):

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from toricsplit import fan as fan_module
+from toricsplit.lattice import NotUnimodular
 from toricsplit.fan import (
     ConstructionFailed,
     Fan,
@@ -137,13 +139,15 @@ class TestTower:
         with pytest.raises(InvalidSpec):
             del_pezzo_bundle(1)
 
-    def test_incomplete_pair_list_fails_loudly(self):
+    def test_incomplete_pair_list_fails_loudly(self, monkeypatch):
         # dropping the two extra hexagon pairs (as in a well-known transcription
-        # slip) leaves a degenerate independent triple like {e1, -e2, e1-e2}
-        rays = tower_rays(3)
-        pairs = [p for p in tower_primitive_pairs(3) if p not in ((1, 4), (2, 3))]
-        with pytest.raises(ConstructionFailed):
-            maximal_cones_from_primitive_pairs(rays, pairs)
+        # slip) leaves a degenerate independent triple like {e1, -e2, e1-e2},
+        # which the builder's validation refuses
+        pairs = tower_primitive_pairs(3)
+        monkeypatch.setattr(fan_module, "tower_primitive_pairs", lambda d: tuple(
+            p for p in pairs if p not in ((1, 4), (2, 3))))
+        with pytest.raises(ConstructionFailed, match="determinant"):
+            del_pezzo_bundle(3)
 
 
 class TestConesFromPairs:
@@ -237,6 +241,12 @@ class TestBuildNamed:
 
 
 class TestValidate:
+    def test_cone_inverses_need_a_smooth_fan(self):
+        # P(1,1,2): the cone (0, 2) spanned by (1, 0) and (-1, -2) has index 2
+        fan = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(NotUnimodular, match=r"cone \(0, 2\) has determinant -2"):
+            fan.cone_inverses
+
     def test_named_all_valid(self):
         for spec in ["P:1", "P:3", "dP:1", "dP:2", "dP:3", "F:2", "Xd:3", "P:1*dP:3"]:
             report = validate(build_named(spec))
@@ -257,7 +267,7 @@ class TestValidate:
         assert report.complete
 
     def test_overlapping_cones_not_complete(self):
-        # two cones overlap: the pseudomanifold check or the battery must fail
+        # two cones overlap: the wall or the point test must fail
         fan = Fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
                   [(0, 1), (1, 2), (0, 2), (0, 3)])
         assert not validate(fan).complete
@@ -265,7 +275,7 @@ class TestValidate:
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_non_smooth_complete_in_any_ray_order(self, order):
         # P(1,1,2) again: the ray order moves the signs of the cone
-        # determinants, which the side and Cramer tests must follow
+        # determinants, which the side and point tests must follow
         rays = [[(1, 0), (0, 1), (-1, -2)][i] for i in order]
         report = validate(Fan(2, rays, [(0, 1), (1, 2), (0, 2)]))
         assert not report.smooth and report.complete
@@ -280,7 +290,7 @@ class TestValidate:
 
     def test_singular_multi_fan_not_complete(self):
         # the image of that multi-fan under (x, y) -> (2x + y, x + 2y): the
-        # cones are not unimodular, so the point count uses Cramer's rule
+        # cones are not unimodular, so the point test divides by determinants of +-3
         fan = Fan(2, [(2, 1), (1, 2), (-4, -5), (7, 8), (-1, -1), (-1, -2)],
                   [(i, (i + 1) % 6) for i in range(6)])
         report = validate(fan)

@@ -77,6 +77,13 @@ class TestSummand:
             with pytest.raises(ValueError):
                 summand_divisors(fan, zero(fan), p, base)
 
+    def test_summand_limit(self):
+        # 4097^2 > 2^24 summands: refused before any is enumerated
+        fan = projective_space(2)
+        for split in (summand_divisors, thomsen_split):
+            with pytest.raises(ValueError, match="exceed the limit"):
+                split(fan, zero(fan), 4097)
+
 
 class TestSplit:
     def test_p1_classic(self):

@@ -7,6 +7,7 @@ from toricsplit import lattice
 from toricsplit.lattice import (
     NotSquare,
     NotUnimodular,
+    adjugate,
     as_matrix,
     determinant,
     identity,
@@ -38,6 +39,85 @@ def random_unimodular(rng, n, steps=12):
     return m
 
 
+def cofactor_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * cofactor_det(minor)
+    return total
+
+
+def cofactor_adjugate(m):
+    n = len(m)
+    if n == 1:
+        return [[1]]
+    return [[(-1) ** (i + j) * cofactor_det([row[:i] + row[i + 1:]
+                                            for k, row in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def random_square(rng, n, big=False):
+    """A random n x n matrix; some are singular, some need a row swap."""
+    bound = 2 ** 45 if big else 6
+    low = 2 ** 40 if big else 0
+    m = [[rng.choice((-1, 1)) * rng.randint(low, bound) for _ in range(n)]
+         for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 1 and n > 1:
+        # singular: the first row is a combination of two others
+        j, k = rng.randrange(1, n), rng.randrange(1, n)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[0] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    elif kind == 2 and n > 1:
+        # zero leading entries: the first pivots have to be swapped in
+        for r in range(rng.randint(1, n - 1)):
+            m[r][0] = 0
+    elif kind == 3 and n > 2:
+        # rank at most n - 2: the adjugate is zero
+        m[1] = [3 * x for x in m[0]]
+        m[2] = [-x for x in m[0]]
+    return m
+
+
+class TestAdjugate:
+    @pytest.mark.parametrize("big", [False, True])
+    def test_random_against_cofactors(self, big):
+        rng = random.Random(f"adjugate/{big}")
+        singular = swapped = 0
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            m = random_square(rng, n, big)
+            det, adj = adjugate(m)
+            a = as_matrix(m)
+            assert det == cofactor_det(m)
+            assert (a @ adj == det * identity(n)).all()
+            assert (adj @ a == det * identity(n)).all()
+            if det == 0:
+                # m @ adj = 0 does not fix adj, so compare it entry by entry
+                singular += 1
+                assert adj.tolist() == cofactor_adjugate(m)
+            swapped += m[0][0] == 0
+        assert singular >= 20 and swapped >= 10, (singular, swapped)
+
+    def test_known_values(self):
+        assert adjugate([[1, 2], [3, 4]])[0] == -2
+        assert adjugate([[1, 2], [3, 4]])[1].tolist() == [[4, -2], [-3, 1]]
+        # a row swap is needed at once; adj = det * inverse for unimodular input
+        assert adjugate([[0, 1], [1, 0]])[1].tolist() == [[0, -1], [-1, 0]]
+        assert adjugate(A2)[1].tolist() == [[-x for x in row] for row in B2]
+        # singular of rank n - 1: the adjugate is the nonzero cofactor matrix
+        assert adjugate([[1, 2], [2, 4]])[1].tolist() == [[4, -2], [-2, 1]]
+        assert adjugate([[0]])[1].tolist() == [[1]]
+        assert adjugate([[0, 0], [0, 0]])[1].tolist() == [[0, 0], [0, 0]]
+
+    def test_not_square(self):
+        with pytest.raises(NotSquare):
+            adjugate([[1, 2, 3], [4, 5, 6]])
+
+
 class TestDeterminant:
     def test_identity(self):
         assert determinant(identity(3)) == 1
@@ -54,17 +134,6 @@ class TestDeterminant:
 
     def test_matches_cofactor_expansion(self):
         rng = random.Random(7)
-
-        def cofactor_det(m):
-            n = len(m)
-            if n == 1:
-                return m[0][0]
-            total = 0
-            for j in range(n):
-                minor = [row[:j] + row[j + 1:] for row in m[1:]]
-                total += (-1) ** j * m[0][j] * cofactor_det(minor)
-            return total
-
         for _ in range(50):
             n = rng.randint(1, 4)
             m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]

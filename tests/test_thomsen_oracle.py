@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from toricsplit import frobenius
 from toricsplit.fan import build_named, del_pezzo_bundle, projective_space
 from toricsplit.frobenius import SplittingResult, summand_divisors, thomsen_split
 from toricsplit.lattice import identity
@@ -69,6 +70,17 @@ def test_coefficients_beyond_int64(spec, p):
     divisor = tuple(rng.choice((-1, 1)) * rng.randint(2 ** 40, 2 ** 45)
                     for _ in fan.rays)
     assert_matches_oracle(fan, divisor, p, rng.randrange(len(fan.max_cones)))
+
+
+@pytest.mark.parametrize("spec,p", [("P:2", 5), ("Xd:3", 5), ("dP:3*dP:3", 2)])
+def test_blocks_match_oracle(spec, p, monkeypatch):
+    # blocks of 7 exponent vectors: every split spans several blocks and
+    # ends in a ragged one, and a class's representative may come from any
+    monkeypatch.setattr(frobenius, "_BLOCK", 7)
+    fan = build_named(spec)
+    rng = random.Random(f"blocks/{spec}/{p}")
+    for divisor, base in cases(fan, rng):
+        assert_matches_oracle(fan, divisor, p, base)
 
 
 class TestContext:
