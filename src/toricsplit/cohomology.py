@@ -3,11 +3,16 @@
 The cohomology of O(D) decomposes over the character lattice: the piece in
 degree m is the reduced simplicial cohomology (one degree down) of the full
 subcomplex of the fan's face complex on the rays with <m, v_j> < -a_j, so it
-depends only on that sign mask.  The degree box [-R, R]^n is scanned in fixed
-blocks: each block counts its degrees per distinct mask and weights the counts
-by the mask's cohomology.  The adaptive radius doubles, rescanning the box,
-until neither of the two outermost shells contributes.  A box of more than
-2^30 degrees is refused with ValueError.  All ranks are exact.
+depends only on that sign mask.  A degree contributes only if its mask cell
+is bounded: an unbounded cell has an integral recession ray, and so holds
+infinitely many degrees with the same cohomology.  The closure of a bounded
+cell is a polytope whose vertices solve <m, v_j> = -a_j for n linearly
+independent rays, so every contributing degree has |m|_inf at most the floor
+B(D) of the largest vertex sup-norm.  The box [-B(D), B(D)]^n is scanned
+once in fixed blocks, counting degrees per (mask, sup-norm) pair; the
+reported box replays the earlier doubling rule on those counts.  A scan of
+more than 2^30 degrees is refused with ValueError before it starts.  All
+ranks are exact.
 
 On top of that sit the (strongly) exceptional collection checks: Ext groups
 between line bundles are cohomology of coefficient differences.
@@ -15,6 +20,7 @@ between line bundles are cohomology of coefficient differences.
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,7 @@ from .fan import fan_product
 
 _INT64_SAFE = 2 ** 31
 _BLOCK = 2 ** 18
+_SUBSET_BLOCK = 2 ** 12
 _MAX_BOX_POINTS = 2 ** 30
 
 
@@ -108,7 +115,7 @@ def _subset_dims(complex_, mask, top):
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """h^0..h^n plus the radius of the degree box that was scanned."""
+    """h^0..h^n plus `box`: the fixed radius, or where the doubling rule stops."""
     dims: tuple
     box: int
 
@@ -120,15 +127,180 @@ class CohomologyTable:
         return all(h == 0 for h in self.dims[1:])
 
 
+def _scan_constants(fan):
+    """Cached per fan: (rays as int64 rows, mask bit weights, max |v|_1, max |v|_inf)."""
+    key = ("cohomology", "scan")
+    hit = fan._cache.get(key)
+    if hit is not None:
+        return hit
+    # |<m, v_j>| over the box [-R, R]^n is at most R * max_j |v_j|_1
+    ray_l1 = max(sum(abs(x) for x in r) for r in fan.rays)
+    if ray_l1 >= 2 ** 62:
+        raise ValueError("ray generators leave the int64 scan range")
+    hit = (np.array(fan.rays, dtype=np.int64),
+           np.int64(1) << np.arange(len(fan.rays), dtype=np.int64),
+           ray_l1,
+           max(abs(x) for r in fan.rays for x in r))
+    fan._cache[key] = hit
+    return hit
+
+
+def _determinants(mats):
+    """Exact determinants of a stack of square integer matrices (Bareiss).
+
+    Every entry the fraction-free elimination writes is a minor of its
+    matrix, so int64 input whose minors are below 2^31 cannot overflow.
+    """
+    m = mats.copy()
+    k, n, _ = m.shape
+    sign = np.ones(k, dtype=np.int64)
+    prev = np.ones(k, dtype=m.dtype)
+    singular = np.zeros(k, dtype=bool)
+    for c in range(n):
+        # swap a row with a nonzero entry in column c up to row c
+        r = c + np.argmax(m[:, c:, c] != 0, axis=1)
+        swap = np.flatnonzero(r != c)
+        row = m[swap, c].copy()
+        m[swap, c] = m[swap, r[swap]]
+        m[swap, r[swap]] = row
+        sign[swap] *= -1
+        singular |= m[:, c, c] == 0
+        pivot = np.where(singular, 1, m[:, c, c])
+        m[:, c + 1:, c + 1:] = (pivot[:, None, None] * m[:, c + 1:, c + 1:]
+                                - m[:, c + 1:, c:c + 1] * m[:, c:c + 1, c + 1:]
+                                ) // prev[:, None, None]
+        prev = pivot
+    return np.where(singular, 0, sign * m[:, n - 1, n - 1])
+
+
+def _adjugates(mats, dets, minor_bound, exact_int64):
+    """Adjugates of nonsingular integer matrices with known determinants.
+
+    Each is det * inverse in floats, rounded, and kept where B @ adj ==
+    det * I holds exactly; the rest are redone with `lattice.adjugate`.
+    With `exact_int64`, every entry of a true adjugate is at most
+    `minor_bound` and the check cannot overflow int64; otherwise it runs in
+    Python ints.
+    """
+    n = mats.shape[1]
+    with np.errstate(all="ignore"):
+        try:
+            approx = np.rint(dets.astype(float)[:, None, None]
+                             * np.linalg.inv(mats.astype(float)))
+        except (np.linalg.LinAlgError, OverflowError):
+            approx = np.full(mats.shape, np.nan)
+        limit = float(minor_bound) if exact_int64 else np.inf
+        ok = (np.isfinite(approx) & (np.abs(approx) <= limit)).all(axis=(1, 2))
+    approx[~ok] = 0
+    adj = (approx.astype(np.int64) if exact_int64
+           else np.frompyfunc(int, 1, 1)(approx))
+    ok &= (mats @ adj == dets[:, None, None] * np.eye(n, dtype=np.int64)).all(axis=(1, 2))
+    for i in np.flatnonzero(~ok):
+        adj[i] = lattice.adjugate(mats[i])[1]
+    return adj
+
+
+def _vertex_data(fan):
+    """Cached per fan: (J, det B_J, adj B_J) for every independent n-subset J.
+
+    B_J has the rays of J as rows, and B_J @ adj_J == det_J * I exactly.
+    The n-subsets are eliminated in blocks of _SUBSET_BLOCK, so memory stays
+    bounded however many there are.
+    """
+    key = ("cohomology", "vertices")
+    hit = fan._cache.get(key)
+    if hit is not None:
+        return hit
+    n = fan.dim
+    # Hadamard: a minor is at most the product of its rows' norms, each < norm
+    norm = max(math.isqrt(sum(x * x for x in r)) + 1 for r in fan.rays)
+    minor_bound = norm ** n
+    entry = max(abs(x) for r in fan.rays for x in r)
+    exact_int64 = minor_bound < _INT64_SAFE and n * entry * minor_bound < 2 ** 62
+    rays = np.array(fan.rays, dtype=np.int64 if exact_int64 else object)
+    combos = itertools.combinations(range(len(fan.rays)), n)
+    parts = []
+    while True:
+        subsets = np.array(list(itertools.islice(combos, _SUBSET_BLOCK)),
+                           dtype=np.intp).reshape(-1, n)
+        if not len(subsets):
+            break
+        mats = rays[subsets]
+        dets = _determinants(mats)
+        keep = dets != 0
+        mats, dets = mats[keep], dets[keep]
+        parts.append((subsets[keep], dets, _adjugates(mats, dets, minor_bound, exact_int64)))
+    hit = tuple(np.concatenate(column) for column in zip(*parts))
+    fan._cache[key] = hit
+    return hit
+
+
+def _degree_bound(fan, a):
+    """B(D): every degree contributing to H^*(O(D)) has |m|_inf <= B(D).
+
+    A vertex of a contributing cell solves B_J m = -a_J, so its coordinates
+    are adj_J @ (-a_J) / det_J; B(D) is the floor of their largest norm.
+    """
+    subsets, dets, adjs = _vertex_data(fan)
+    if adjs.dtype != object and \
+            fan.dim * int(np.abs(adjs).max(initial=0)) * max(map(abs, a)) >= 2 ** 62:
+        adjs, dets = adjs.astype(object), dets.astype(object)
+    rhs = -np.array(a, dtype=adjs.dtype)[subsets]
+    numerators = np.abs((adjs @ rhs[:, :, None])[:, :, 0]).max(axis=1, initial=0)
+    return int((numerators // np.abs(dets)).max(initial=0))
+
+
+def _scan(fan, a, radius):
+    """Per sup-norm s <= R of the degrees in [-R, R]^n: h^0..h^n and the
+    number of contributing degrees, as arrays of R+1 rows.
+
+    The box is walked in blocks of _BLOCK flat indices; each block counts
+    its degrees per (sign mask, sup-norm) pair with one bincount.
+    """
+    n = fan.dim
+    rmat, weights, ray_l1, _ = _scan_constants(fan)
+    side = 2 * radius + 1
+    total = side ** n
+    if total > _MAX_BOX_POINTS:
+        raise ValueError(f"degree box of radius {radius} has {total} points, "
+                         f"more than the budget of {_MAX_BOX_POINTS}")
+    if radius * ray_l1 >= _INT64_SAFE:
+        raise ValueError(f"degree box of radius {radius} leaves the int64 "
+                         "scan range")
+    complex_ = fan.face_complex
+    avec = np.array(a, dtype=np.int64)
+    hs = np.zeros((radius + 1, n + 1), dtype=np.int64)
+    contributing = np.zeros(radius + 1, dtype=np.int64)
+    for start in range(0, total, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+        pts = np.empty((len(flat), n), dtype=np.int64)
+        for k in range(n - 1, -1, -1):
+            flat, digit = np.divmod(flat, side)
+            pts[:, k] = digit - radius
+        masks, inverse = np.unique((pts @ rmat.T < -avec) @ weights,
+                                   return_inverse=True)
+        counts = np.bincount(inverse * (radius + 1) + np.abs(pts).max(axis=1),
+                             minlength=len(masks) * (radius + 1)
+                             ).reshape(len(masks), radius + 1)
+        dims = np.array([_subset_dims(complex_, int(m), n) for m in masks],
+                        dtype=np.int64)
+        hs += counts.T @ dims
+        contributing += counts.T @ dims.any(axis=1)
+    return hs, contributing
+
+
 def line_bundle_cohomology(fan, divisor, box=None):
     """Exact cohomology table of O(D) on a smooth complete fan.
 
-    The degree box [-R, R]^n is scanned in blocks of _BLOCK flat indices.
-    The adaptive radius starts at 1 + max|a_j| * max|v_j| and doubles while
-    a degree of sup-norm R or R-1 contributes; `box` forces a fixed radius
-    instead.  Raises ValueError for a negative `box`, a coefficient of
-    absolute value 2^31 or more, a box whose pairings <m, v_j> reach 2^31,
-    and a box of more than _MAX_BOX_POINTS degrees.
+    The adaptive table scans the box [-B, B]^n once, at the proven radius
+    B = B(D) of `_degree_bound`, and reports as `box` the radius the earlier
+    doubling rule stopped at, replayed on the contributing degrees counted
+    per sup-norm: start at R = 1 + max|a_j| * max|v_j| and double while a
+    degree of sup-norm R or R-1 contributes.  `box` forces a fixed radius
+    instead, and the table counts that box only.  Raises ValueError for a
+    negative `box`, a coefficient of absolute value 2^31 or more, a scanned
+    box whose pairings <m, v_j> reach 2^31, and a scanned box of more than
+    _MAX_BOX_POINTS degrees; all of these are decided before any scan.
     """
     a = _coeffs(fan, divisor)
     if box is not None and box < 0:
@@ -136,60 +308,24 @@ def line_bundle_cohomology(fan, divisor, box=None):
     cached = fan._cache.get(("cohomology", a, box))
     if cached is not None:
         return cached
-    n = fan.dim
-    nrays = len(fan.rays)
-    if nrays > 62:
+    if len(fan.rays) > 62:
         raise ValueError("bitmask fast path supports at most 62 rays")
-    complex_ = fan.face_complex
     if max((abs(x) for x in a), default=0) >= _INT64_SAFE:
         raise ValueError("divisor coefficients must be below 2^31 in absolute "
                          "value for the int64 degree scan")
-    rmat = np.array([list(r) for r in fan.rays], dtype=np.int64)
-    avec = np.array(a, dtype=np.int64)
-    weights = (np.int64(1) << np.arange(nrays, dtype=np.int64))
-    # max of |<m, v_j>| over the box [-R, R]^n is R * max_j |v_j|_1
-    ray_l1 = max(sum(abs(int(x)) for x in r) for r in fan.rays)
-
-    def scan(radius):
-        """h^0..h^n over [-R, R]^n and the largest sup-norm that contributes."""
-        side = 2 * radius + 1
-        total = side ** n
-        if total > _MAX_BOX_POINTS:
-            raise ValueError(f"degree box of radius {radius} has {total} points, "
-                             f"more than the budget of {_MAX_BOX_POINTS}")
-        if radius * ray_l1 >= _INT64_SAFE:
-            raise ValueError(f"degree box of radius {radius} leaves the int64 "
-                             "scan range")
-        hs = [0] * (n + 1)
-        top = -1
-        for start in range(0, total, _BLOCK):
-            flat = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-            pts = np.empty((len(flat), n), dtype=np.int64)
-            for k in range(n - 1, -1, -1):
-                flat, digit = np.divmod(flat, side)
-                pts[:, k] = digit - radius
-            masks, inverse, counts = np.unique(
-                (pts @ rmat.T < -avec) @ weights,
-                return_inverse=True, return_counts=True)
-            dims = np.array([_subset_dims(complex_, int(m), n) for m in masks],
-                            dtype=np.int64)
-            hs = [h + int(c) for h, c in zip(hs, counts @ dims)]
-            hit = dims.any(axis=1)[inverse]
-            if hit.any():
-                top = max(top, int(np.abs(pts[hit]).max()))
-        return tuple(hs), top
-
     if box is not None:
         radius = int(box)
-        hs, _ = scan(radius)
+        hs, _ = _scan(fan, a, radius)
     else:
-        ray_span = max(abs(int(x)) for r in fan.rays for x in r)
+        hs, contributing = _scan(fan, a, _degree_bound(fan, a))
+        norms = np.flatnonzero(contributing)
+        _, _, _, ray_span = _scan_constants(fan)
         radius = 1 + max((abs(x) for x in a), default=0) * ray_span
-        hs, top = scan(radius)
-        while top >= radius - 1:
+        # the doubling rule: the largest contributing sup-norm <= R is R-1 or R
+        while norms[norms <= radius].max(initial=-1) >= radius - 1:
             radius *= 2
-            hs, top = scan(radius)
-    table = CohomologyTable(hs, radius)
+        hs = hs[:radius + 1]
+    table = CohomologyTable(tuple(int(h) for h in hs.sum(axis=0)), radius)
     fan._cache[("cohomology", a, box)] = table
     return table
 

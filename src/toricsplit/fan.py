@@ -193,10 +193,6 @@ class FaceComplex:
             buckets[len(f)].append(tuple(sorted(f)))
         return tuple(tuple(sorted(b)) for b in buckets)
 
-    def face_counts(self):
-        """Number of faces of each size, index = cardinality."""
-        return tuple(len(b) for b in self.faces_by_size)
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -579,6 +575,21 @@ def _poly_mul(a, b):
     return out
 
 
+def _face_counts(fan):
+    """Number of cones of each size k: the distinct k-subsets of the maximal cones.
+
+    The k-subsets are sorted rows of ray indices; after a lexicographic sort,
+    each distinct row starts where it differs from its predecessor.
+    """
+    cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim)
+    counts = [1]
+    for k in range(1, fan.dim + 1):
+        rows = cones[:, list(itertools.combinations(range(fan.dim), k))].reshape(-1, k)
+        rows = rows[np.lexsort(rows.T)]
+        counts.append(int(np.any(rows[1:] != rows[:-1], axis=1).sum()) + (len(rows) > 0))
+    return tuple(counts)
+
+
 def poincare_polynomial(fan):
     """P(t) = sum_k d_k (t^2-1)^(n-k) where d_k counts k-dimensional cones.
 
@@ -586,11 +597,10 @@ def poincare_polynomial(fan):
     cones for a smooth complete fan.
     """
     n = fan.dim
-    counts = fan.face_complex.face_counts()
+    counts = _face_counts(fan)
     total = [0] * (2 * n + 1)
     base = [-1, 0, 1]  # t^2 - 1
-    for k in range(n + 1):
-        d_k = counts[k] if k < len(counts) else 0
+    for k, d_k in enumerate(counts):
         power = [1]
         for _ in range(n - k):
             power = _poly_mul(power, base)

@@ -285,6 +285,18 @@ class TestBadInput:
         assert report["result"]["picard_rank"] == 2
         assert report["result"]["max_cones"] == 4
 
+    def test_cohomology_on_fans_beyond_int64(self, capsys, tmp_path):
+        # O on F_a contributes only in degree 0, the proven radius: it is
+        # answered for a = 2^40, and a = 2^70 leaves int64 with exit 2
+        def hirzebruch(a):
+            return self.write(tmp_path, "f.json", {
+                "dim": 2, "rays": [[1, 0], [0, 1], [-1, a], [0, -1]],
+                "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]]})
+        status, report = run_json(capsys, "cohomology", "compute", "--fan", hirzebruch(2 ** 40))
+        assert status == 0
+        assert report["result"] == {"dims": [1, 0, 0], "box": 2}
+        assert_input_error(capsys, "cohomology", "compute", "--fan", hirzebruch(2 ** 70))
+
 
 class TestCollection:
     def write_collection(self, tmp_path, bundles, name="c.json"):

@@ -2,9 +2,10 @@
 
 Each file under tests/golden/ starts with a line `exit <code>` followed by
 the captured stream verbatim.  Named varieties compare stdout; `--fan` runs
-compare stderr without its `wall-clock:` line, with the fan file's path
-replaced by `<fan>`.  After a deliberate change of output, regenerate the
-files with `PYTHONPATH=src python tests/test_cli_golden.py`.
+compare stderr without its `wall-clock:` line.  Input files are written to a
+temporary directory and their paths replaced by `<fan>`, `<divisor>` or
+`<collection>`.  After a deliberate change of output, regenerate the files
+with `PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
 import contextlib
@@ -16,6 +17,8 @@ import tempfile
 import pytest
 
 from toricsplit.cli import main
+from toricsplit.fan import build_named
+from toricsplit.frobenius import thomsen_split
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -32,6 +35,26 @@ FANS = {
                            "max_cones": [[i, (i + 1) % 6] for i in range(6)]},
 }
 
+
+def summand_set(spec, p):
+    """One representative per class of the Frobenius summands of O."""
+    fan = build_named(spec)
+    result = thomsen_split(fan, tuple(0 for _ in fan.rays), p)
+    return [list(rep) for _, _, rep in result.sorted_items()]
+
+
+# divisor and collection files, built when a case needs them
+INPUTS = {
+    # -3K on Xd:5: the proven radius 9 lies above the box 8 the CLI reports
+    "xd5_minus_3k": lambda: {"coeffs": [3] * 14},
+    # a non-nef divisor of the benchmark's twists, box 8
+    "xd5_non_nef": lambda: {"coeffs": [-2, 1, 3, -1, 2, 0, 3, 1, -3, -1, 2, -3, 1, 0]},
+    "dp3_dp3_minus_3k": lambda: {"coeffs": [3] * 12},
+    "p2_minus_5": lambda: {"coeffs": [-5, 0, 0]},
+    "xd3_summands": lambda: {"bundles": summand_set("Xd:3", 5)},
+    "dp3_dp3_summands": lambda: {"bundles": summand_set("dP:3*dP:3", 3)},
+}
+
 CASES = {}
 for _spec in ("Xd:3", "Xd:5", "Xd:7", "dP:3*dP:3", "F:2", "P:3"):
     _name = _spec.replace(":", "").replace("*", "_")
@@ -42,25 +65,38 @@ CASES["split_Xd5_p3"] = ("frobenius", "split", "--variety", "Xd:5", "--p", "3",
                          "--no-stabilization-check")
 for _fan in FANS:
     CASES[f"fan_info_{_fan}"] = ("variety", "info", "--fan", _fan)
+for _spec, _divisor in (("Xd:5", "xd5_minus_3k"), ("Xd:5", "xd5_non_nef"),
+                        ("dP:3*dP:3", "dp3_dp3_minus_3k"), ("P:2", "p2_minus_5")):
+    CASES[f"cohomology_{_divisor}"] = ("cohomology", "compute", "--variety", _spec,
+                                       "--divisor", _divisor)
+for _spec, _collection in (("Xd:3", "xd3_summands"), ("dP:3*dP:3", "dp3_dp3_summands")):
+    CASES[f"order_{_collection}"] = ("collection", "order", "--variety", _spec,
+                                     "--collection", _collection)
 
 
 def capture(name, workdir):
     """(exit status, compared stream) of one case, run in-process."""
     argv = list(CASES[name])
-    fan_path = None
-    if "--fan" in argv:
-        i = argv.index("--fan") + 1
-        fan_path = str(pathlib.Path(workdir) / "fan.json")
-        pathlib.Path(fan_path).write_text(json.dumps(FANS[argv[i]]))
-        argv[i] = fan_path
+    paths = {}
+    for flag in ("--fan", "--divisor", "--collection"):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            data = FANS[argv[i]] if flag == "--fan" else INPUTS[argv[i]]()
+            path = str(pathlib.Path(workdir) / f"{flag[2:]}.json")
+            pathlib.Path(path).write_text(json.dumps(data))
+            argv[i] = path
+            paths[path] = f"<{flag[2:]}>"
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)
-    if fan_path is None:
-        return status, out.getvalue()
-    lines = err.getvalue().splitlines(keepends=True)
-    text = "".join(line for line in lines if not line.startswith("wall-clock:"))
-    return status, text.replace(fan_path, "<fan>")
+    if "--fan" in CASES[name]:
+        lines = err.getvalue().splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith("wall-clock:"))
+    else:
+        text = out.getvalue()
+    for path, label in paths.items():
+        text = text.replace(path, label)
+    return status, text
 
 
 def render(status, text):

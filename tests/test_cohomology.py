@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from toricsplit import cohomology, lattice
 from toricsplit.cohomology import (
     FactorNotStronglyExceptional,
     box_product,
@@ -14,7 +15,7 @@ from toricsplit.cohomology import (
     reduced_cohomology,
 )
 from toricsplit.divisor import canonical_divisor, cartier_data, positivity
-from toricsplit.fan import FaceComplex, build_named, del_pezzo, projective_space
+from toricsplit.fan import FaceComplex, Fan, build_named, del_pezzo, projective_space
 from toricsplit.frobenius import thomsen_split
 
 
@@ -296,3 +297,47 @@ class TestBoxProduct:
         f1 = projective_space(1)
         with pytest.raises(FactorNotStronglyExceptional):
             box_product(f1, [(0, 0), (0, 2)], f1, [(0, 0)])
+
+
+class TestVertexData:
+    """The cached (det, adj) of every independent n-subset of rays is exact."""
+
+    @staticmethod
+    def expected(fan):
+        out = {}
+        for subset in itertools.combinations(range(len(fan.rays)), fan.dim):
+            det, adj = lattice.adjugate([fan.rays[j] for j in subset])
+            if det != 0:
+                out[subset] = (det, adj.tolist())
+        return out
+
+    @staticmethod
+    def cached(fan):
+        subsets, dets, adjs = cohomology._vertex_data(fan)
+        return {tuple(s): (int(d), [[int(x) for x in row] for row in a])
+                for s, d, a in zip(subsets.tolist(), dets, adjs)}
+
+    @pytest.mark.parametrize("spec", ["P:3", "F:2", "Xd:3", "dP:3*dP:3"])
+    def test_matches_lattice_adjugate(self, spec):
+        fan = build_named(spec)
+        assert self.cached(fan) == self.expected(fan)
+
+    def test_inexact_float_adjugate_falls_back(self, monkeypatch):
+        # P^3 moved by a unimodular matrix with entries near 2^20: the float
+        # inverses of three of its four cone matrices round to wrong
+        # adjugates, which fail the exact check and are redone exactly
+        n = 2 ** 10
+        shear_up = np.array([[1, n, 0], [0, 1, n], [0, 0, 1]], dtype=object)
+        shear_down = np.array([[1, 0, 0], [n, 1, 0], [0, n, 1]], dtype=object)
+        g = shear_up @ shear_down
+        base = projective_space(3)
+        fan = Fan(3, [tuple(int(x) for x in g @ np.array(r, dtype=object))
+                      for r in base.rays], base.max_cones)
+        calls = []
+        exact = lattice.adjugate
+        monkeypatch.setattr(lattice, "adjugate", lambda m: calls.append(1) or exact(m))
+        cached = self.cached(fan)
+        assert calls
+        assert cached == self.expected(fan)
+        assert len(cached) == 4
+        assert line_bundle_cohomology(fan, zero(fan)).dims == (1, 0, 0, 0)

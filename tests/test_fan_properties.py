@@ -1,4 +1,5 @@
-"""Property tests of the exact completeness criterion in `validate`.
+"""Property tests of the exact completeness criterion in `validate`, and of
+the cone counts behind the Poincare polynomial.
 
 Complete fans come from star subdivisions of named fans and from toric
 blow-ups of unimodular 2-D cycles that wind once; multi-fans come from the
@@ -11,7 +12,7 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricsplit.fan import Fan, build_named, poincare_polynomial, validate
+from toricsplit.fan import Fan, _face_counts, build_named, poincare_polynomial, validate
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -102,3 +103,5 @@ def test_star_subdivisions_validate(spec, steps):
         fan = star_subdivide(fan, faces[index % len(faces)])
         assert validate(fan).ok, validate(fan).messages
         assert poincare_polynomial(fan).euler_characteristic == len(fan.max_cones)
+        # cones counted from the maximal cones alone, against the face complex
+        assert _face_counts(fan) == tuple(len(b) for b in fan.face_complex.faces_by_size)
