@@ -9,10 +9,21 @@ infinitely many degrees with the same cohomology.  The closure of a bounded
 cell is a polytope whose vertices solve <m, v_j> = -a_j for n linearly
 independent rays, so every contributing degree has |m|_inf at most the floor
 B(D) of the largest vertex sup-norm.  The box [-B(D), B(D)]^n is scanned
-once in fixed blocks, counting degrees per (mask, sup-norm) pair; the
+once in fixed blocks, counting degrees per (mask class, sup-norm) pair; the
 reported box replays the earlier doubling rule on those counts.  A scan of
 more than 2^30 degrees is refused with ValueError before it starts.  All
 ranks are exact.
+
+The masks are reduced block by block.  Take the components of the graph
+whose edges are the ray pairs in no common cone.  If #maximal cones equals
+the product over blocks of the number of distinct sets cone & block, then
+every choice of one such set per block is a cone (a cone is the union of
+its restrictions, so the map to the product is injective, and onto by
+count): the face complex is the join of its blocks.  A full subcomplex of a
+join is the join of the blocks' full subcomplexes, and by Kunneth for joins
+its reduced cohomology dims, indexed by degree + 1, are the convolution of
+the blocks' dims.  Each block reduces only the sub-masks it has not seen
+before, on its own small complex; a fan that is no join is one block.
 
 On top of that sit the (strongly) exceptional collection checks: Ext groups
 between line bundles are cohomology of coefficient differences.
@@ -27,10 +38,10 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, divisor_class
-from .fan import fan_product
+from .fan import FaceComplex, fan_product
 
 _INT64_SAFE = 2 ** 31
-_BLOCK = 2 ** 18
+_BLOCK = 2 ** 16
 _SUBSET_BLOCK = 2 ** 12
 _MAX_BOX_POINTS = 2 ** 30
 
@@ -96,17 +107,152 @@ def _restricted_faces_by_size(complex_, keep):
 
 
 def _subset_dims(complex_, mask, top):
-    """Cached: padded dims (length top+1, index i -> degree i-1) for a vertex mask."""
-    cache = complex_._cohomology_cache
-    key = (mask, top)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    """Padded dims (length top+1, index i -> degree i-1) for a vertex mask."""
     keep = frozenset(j for j in range(complex_.vertex_count) if mask >> j & 1)
     dims = _reduced_dims(_restricted_faces_by_size(complex_, keep))
-    padded = tuple(dims[i] if i < len(dims) else 0 for i in range(top + 1))
-    cache[key] = padded
-    return padded
+    return tuple(dims[i] if i < len(dims) else 0 for i in range(top + 1))
+
+
+# ---------------------------------------------------------------------------
+# join blocks of the face complex
+
+
+def _join_blocks(fan):
+    """(blocks, facets): a partition of the rays whose face complexes the
+    fan's face complex is the join of, with each block's distinct facets
+    `cone & block` in block-local indices.
+
+    The candidate blocks are the components of the graph whose edges are the
+    ray pairs in no common cone.  Each maximal cone is the union of its
+    restrictions, so cone -> (cone & b)_b is injective into the product of
+    the blocks' facet sets; when #cones equals the size of that product it
+    is onto, every choice of one facet per block is a cone, and the complex
+    is the join.  Otherwise all rays form one block.
+    """
+    count = len(fan.rays)
+    together = np.eye(count, dtype=bool)
+    for cone in fan.max_cones:
+        together[np.ix_(cone, cone)] = True
+    label = [-1] * count
+    blocks = []
+    for root in range(count):
+        if label[root] >= 0:
+            continue
+        label[root] = len(blocks)
+        block, stack = [], [root]
+        while stack:
+            j = stack.pop()
+            block.append(j)
+            for k in np.flatnonzero(~together[j]).tolist():
+                if label[k] < 0:
+                    label[k] = len(blocks)
+                    stack.append(k)
+        blocks.append(sorted(block))
+    local = {j: i for block in blocks for i, j in enumerate(block)}
+    facets = [sorted({tuple(local[j] for j in cone if label[j] == b)
+                      for cone in fan.max_cones}) for b in range(len(blocks))]
+    if math.prod(map(len, facets)) != len(fan.max_cones):
+        return [list(range(count))], [list(fan.max_cones)]
+    return blocks, facets
+
+
+class _Block:
+    """One join block: its bit range in a scan mask, its own face complex,
+    and a lookup from sub-masks to cohomology classes that grows with the
+    sub-masks seen."""
+
+    def __init__(self, offset, width, facets):
+        self.offset = offset
+        self.low = np.int64((1 << width) - 1)
+        self.top = max(map(len, facets))
+        self.complex_ = FaceComplex.from_facets(width, facets)
+        self.keys = np.empty(0, dtype=np.int64)    # sorted sub-masks seen
+        self.ids = np.empty(0, dtype=np.int64)     # their class ids
+        self.classes = {}                          # padded dims -> class id
+        self.polys = []                            # class id -> padded dims
+
+    def class_ids(self, masks):
+        """Class id of each mask's sub-mask on this block."""
+        sub = (masks >> self.offset) & self.low
+        pos = np.searchsorted(self.keys, sub)
+        seen = np.zeros(len(sub), dtype=bool)
+        inside = pos < len(self.keys)
+        seen[inside] = self.keys[pos[inside]] == sub[inside]
+        if not seen.all():
+            # sort and drop repeats by hand: np.unique without an inverse
+            # imports numpy.ma, about 1 MiB and 15 ms in every process
+            new = np.sort(sub[~seen])
+            new = new[np.diff(new, prepend=-1) != 0]
+            ids = []
+            for m in new.tolist():
+                dims = _subset_dims(self.complex_, m, self.top)
+                if dims not in self.classes:
+                    self.classes[dims] = len(self.polys)
+                    self.polys.append(dims)
+                ids.append(self.classes[dims])
+            keys = np.concatenate([self.keys, new])
+            order = np.argsort(keys)
+            self.keys = keys[order]
+            self.ids = np.concatenate([self.ids, np.array(ids, dtype=np.int64)])[order]
+            pos = np.searchsorted(self.keys, sub)
+        return self.ids[pos]
+
+
+class _JoinLookup:
+    """Per fan: reduced cohomology of full subcomplexes, factorised over the
+    join blocks of `_join_blocks`.
+
+    A scan mask numbers its bits block by block (`weights[j]` is ray j's
+    bit), so each block reads a contiguous sub-mask.  The dims of a whole
+    mask are the convolution of its blocks' padded dims in index
+    coordinates (index i = degree i-1), memoised per tuple of class ids.
+    """
+
+    def __init__(self, fan):
+        blocks, facets = _join_blocks(fan)
+        order = [j for block in blocks for j in block]
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        self.weights = np.int64(1) << position
+        offsets = itertools.accumulate(map(len, blocks), initial=0)
+        self.blocks = [_Block(off, len(block), f)
+                       for off, block, f in zip(offsets, blocks, facets)]
+        self.memo = {}
+
+    def keys(self, masks):
+        """(key per mask, class count per block): the blocks' class ids
+        mixed into one key, the first block's id varying fastest."""
+        key = np.zeros(len(masks), dtype=np.int64)
+        stride = 1
+        counts = []
+        for block in self.blocks:
+            key += block.class_ids(masks) * stride
+            counts.append(len(block.polys))
+            stride *= counts[-1]
+        return key, counts
+
+    def dims(self, key, counts):
+        """Padded dims of a mixed key from `keys`."""
+        ids = []
+        for c in counts:
+            key, rest = divmod(key, c)
+            ids.append(rest)
+        ids = tuple(ids)
+        hit = self.memo.get(ids)
+        if hit is None:
+            hit = np.ones(1, dtype=np.int64)
+            for block, i in zip(self.blocks, ids):
+                hit = np.convolve(hit, block.polys[i])
+            self.memo[ids] = hit
+        return hit
+
+
+def _join_lookup(fan):
+    key = ("cohomology", "join")
+    hit = fan._cache.get(key)
+    if hit is None:
+        hit = fan._cache[key] = _JoinLookup(fan)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +274,7 @@ class CohomologyTable:
 
 
 def _scan_constants(fan):
-    """Cached per fan: (rays as int64 rows, mask bit weights, max |v|_1, max |v|_inf)."""
+    """Cached per fan: (rays as int64 rows, max |v|_1, max |v|_inf)."""
     key = ("cohomology", "scan")
     hit = fan._cache.get(key)
     if hit is not None:
@@ -138,7 +284,6 @@ def _scan_constants(fan):
     if ray_l1 >= 2 ** 62:
         raise ValueError("ray generators leave the int64 scan range")
     hit = (np.array(fan.rays, dtype=np.int64),
-           np.int64(1) << np.arange(len(fan.rays), dtype=np.int64),
            ray_l1,
            max(abs(x) for r in fan.rays for x in r))
     fan._cache[key] = hit
@@ -200,31 +345,55 @@ def _adjugates(mats, dets, minor_bound, exact_int64):
     return adj
 
 
+def _extension_blocks(subsets, count):
+    """Each row of `subsets` extended by every index above its last, in
+    lexicographic order, in blocks of about _SUBSET_BLOCK rows."""
+    last = subsets[:, -1] if subsets.shape[1] else np.full(len(subsets), -1)
+    grow = count - 1 - last
+    cuts = np.searchsorted(np.cumsum(grow), np.arange(_SUBSET_BLOCK, grow.sum(), _SUBSET_BLOCK))
+    for part, tail, more in zip(np.split(subsets, cuts), np.split(last, cuts),
+                                np.split(grow, cuts)):
+        rows = np.repeat(np.arange(len(part)), more)
+        first = np.cumsum(more) - more
+        if len(rows):
+            yield np.column_stack([part[rows], tail[rows] + 1 + np.arange(len(rows)) - first[rows]])
+
+
 def _vertex_data(fan):
-    """Cached per fan: (J, det B_J, adj B_J) for every independent n-subset J.
+    """Cached per fan: (J, det B_J, adj B_J) for every independent n-subset J,
+    in lexicographic order.
 
     B_J has the rays of J as rows, and B_J @ adj_J == det_J * I exactly.
-    The n-subsets are eliminated in blocks of _SUBSET_BLOCK, so memory stays
-    bounded however many there are.
+    The independent sets grow level by level: each independent k-subset is
+    extended only by rays of larger index, and kept when its Gram matrix
+    B B^T has a nonzero determinant.  Candidates go in blocks of about
+    _SUBSET_BLOCK, so memory stays bounded however many there are.
     """
     key = ("cohomology", "vertices")
     hit = fan._cache.get(key)
     if hit is not None:
         return hit
     n = fan.dim
+    count = len(fan.rays)
     # Hadamard: a minor is at most the product of its rows' norms, each < norm
     norm = max(math.isqrt(sum(x * x for x in r)) + 1 for r in fan.rays)
     minor_bound = norm ** n
     entry = max(abs(x) for r in fan.rays for x in r)
     exact_int64 = minor_bound < _INT64_SAFE and n * entry * minor_bound < 2 ** 62
+    # Hadamard for a Gram matrix of k < n rays: each row has norm at most
+    # sqrt(k) * max |v|^2, so its minors are at most that to the k
+    square = max(sum(x * x for x in r) for r in fan.rays)
+    gram_int64 = exact_int64 and (n - 1) ** (n - 1) * square ** (2 * n - 2) < _INT64_SAFE ** 2
     rays = np.array(fan.rays, dtype=np.int64 if exact_int64 else object)
-    combos = itertools.combinations(range(len(fan.rays)), n)
+    level = np.empty((1, 0), dtype=np.intp)
+    for k in range(1, n):
+        parts = [np.empty((0, k), dtype=np.intp)]
+        for subsets in _extension_blocks(level, count):
+            mats = rays[subsets].astype(np.int64 if gram_int64 else object)
+            parts.append(subsets[_determinants(mats @ mats.transpose(0, 2, 1)) != 0])
+        level = np.concatenate(parts)
     parts = []
-    while True:
-        subsets = np.array(list(itertools.islice(combos, _SUBSET_BLOCK)),
-                           dtype=np.intp).reshape(-1, n)
-        if not len(subsets):
-            break
+    for subsets in _extension_blocks(level, count):
         mats = rays[subsets]
         dets = _determinants(mats)
         keep = dets != 0
@@ -254,11 +423,12 @@ def _scan(fan, a, radius):
     """Per sup-norm s <= R of the degrees in [-R, R]^n: h^0..h^n and the
     number of contributing degrees, as arrays of R+1 rows.
 
-    The box is walked in blocks of _BLOCK flat indices; each block counts
-    its degrees per (sign mask, sup-norm) pair with one bincount.
+    The box is walked in blocks of _BLOCK flat indices; each block mixes
+    its degrees' join-block class ids into one key and counts the degrees
+    per (key, sup-norm) pair with one bincount.
     """
     n = fan.dim
-    rmat, weights, ray_l1, _ = _scan_constants(fan)
+    rmat, ray_l1, _ = _scan_constants(fan)
     side = 2 * radius + 1
     total = side ** n
     if total > _MAX_BOX_POINTS:
@@ -267,7 +437,7 @@ def _scan(fan, a, radius):
     if radius * ray_l1 >= _INT64_SAFE:
         raise ValueError(f"degree box of radius {radius} leaves the int64 "
                          "scan range")
-    complex_ = fan.face_complex
+    lookup = _join_lookup(fan)
     avec = np.array(a, dtype=np.int64)
     hs = np.zeros((radius + 1, n + 1), dtype=np.int64)
     contributing = np.zeros(radius + 1, dtype=np.int64)
@@ -277,15 +447,14 @@ def _scan(fan, a, radius):
         for k in range(n - 1, -1, -1):
             flat, digit = np.divmod(flat, side)
             pts[:, k] = digit - radius
-        masks, inverse = np.unique((pts @ rmat.T < -avec) @ weights,
-                                   return_inverse=True)
-        counts = np.bincount(inverse * (radius + 1) + np.abs(pts).max(axis=1),
-                             minlength=len(masks) * (radius + 1)
-                             ).reshape(len(masks), radius + 1)
-        dims = np.array([_subset_dims(complex_, int(m), n) for m in masks],
-                        dtype=np.int64)
-        hs += counts.T @ dims
-        contributing += counts.T @ dims.any(axis=1)
+        key, classes = lookup.keys((pts @ rmat.T < -avec) @ lookup.weights)
+        counts = np.bincount(key * (radius + 1) + np.abs(pts).max(axis=1),
+                             minlength=math.prod(classes) * (radius + 1)
+                             ).reshape(-1, radius + 1)
+        live = np.flatnonzero(counts.any(axis=1))
+        dims = np.array([lookup.dims(int(k), classes) for k in live])
+        hs += counts[live].T @ dims
+        contributing += counts[live].T @ dims.any(axis=1)
     return hs, contributing
 
 
@@ -319,7 +488,7 @@ def line_bundle_cohomology(fan, divisor, box=None):
     else:
         hs, contributing = _scan(fan, a, _degree_bound(fan, a))
         norms = np.flatnonzero(contributing)
-        _, _, _, ray_span = _scan_constants(fan)
+        _, _, ray_span = _scan_constants(fan)
         radius = 1 + max((abs(x) for x in a), default=0) * ray_span
         # the doubling rule: the largest contributing sup-norm <= R is R-1 or R
         while norms[norms <= radius].max(initial=-1) >= radius - 1:

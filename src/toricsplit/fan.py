@@ -170,7 +170,6 @@ class FaceComplex:
         self.vertex_count = vertex_count
         self.faces = frozenset(faces)
         self.facets = tuple(sorted(tuple(sorted(f)) for f in facets))
-        self._cohomology_cache = {}
 
     @classmethod
     def from_facets(cls, vertex_count, facets):

@@ -51,6 +51,13 @@ INPUTS = {
     "xd5_non_nef": lambda: {"coeffs": [-2, 1, 3, -1, 2, 0, 3, 1, -3, -1, 2, -3, 1, 0]},
     "dp3_dp3_minus_3k": lambda: {"coeffs": [3] * 12},
     "p2_minus_5": lambda: {"coeffs": [-5, 0, 0]},
+    # -K on P:2*P:2, whose face complex is no join of smaller blocks
+    "p2_p2_minus_k": lambda: {"coeffs": [1] * 6},
+    # a non-nef divisor on F:2 with h^1 = 9
+    "f2_non_nef": lambda: {"coeffs": [0, 3, 0, -1]},
+    # the difference of two Frobenius summands of O on Xd:7 (p=3): h^0 = 12
+    "xd7_summand_difference": lambda: {"coeffs": [0, 0, 1, 0, 1, 0, 1, 0, 0, 0,
+                                                  1, 0, 1, 0, 0, 0, 0, 1, 0, 0]},
     "xd3_summands": lambda: {"bundles": summand_set("Xd:3", 5)},
     "dp3_dp3_summands": lambda: {"bundles": summand_set("dP:3*dP:3", 3)},
 }
@@ -66,7 +73,9 @@ CASES["split_Xd5_p3"] = ("frobenius", "split", "--variety", "Xd:5", "--p", "3",
 for _fan in FANS:
     CASES[f"fan_info_{_fan}"] = ("variety", "info", "--fan", _fan)
 for _spec, _divisor in (("Xd:5", "xd5_minus_3k"), ("Xd:5", "xd5_non_nef"),
-                        ("dP:3*dP:3", "dp3_dp3_minus_3k"), ("P:2", "p2_minus_5")):
+                        ("dP:3*dP:3", "dp3_dp3_minus_3k"), ("P:2", "p2_minus_5"),
+                        ("P:2*P:2", "p2_p2_minus_k"), ("F:2", "f2_non_nef"),
+                        ("Xd:7", "xd7_summand_difference")):
     CASES[f"cohomology_{_divisor}"] = ("cohomology", "compute", "--variety", _spec,
                                        "--divisor", _divisor)
 for _spec, _collection in (("Xd:3", "xd3_summands"), ("dP:3*dP:3", "dp3_dp3_summands")):

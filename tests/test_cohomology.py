@@ -317,22 +317,29 @@ class TestVertexData:
         return {tuple(s): (int(d), [[int(x) for x in row] for row in a])
                 for s, d, a in zip(subsets.tolist(), dets, adjs)}
 
-    @pytest.mark.parametrize("spec", ["P:3", "F:2", "Xd:3", "dP:3*dP:3"])
-    def test_matches_lattice_adjugate(self, spec):
-        fan = build_named(spec)
-        assert self.cached(fan) == self.expected(fan)
-
-    def test_inexact_float_adjugate_falls_back(self, monkeypatch):
-        # P^3 moved by a unimodular matrix with entries near 2^20: the float
-        # inverses of three of its four cone matrices round to wrong
-        # adjugates, which fail the exact check and are redone exactly
+    @staticmethod
+    def moved_projective_space():
+        # P^3 moved by a unimodular matrix with entries near 2^20
         n = 2 ** 10
         shear_up = np.array([[1, n, 0], [0, 1, n], [0, 0, 1]], dtype=object)
         shear_down = np.array([[1, 0, 0], [n, 1, 0], [0, n, 1]], dtype=object)
         g = shear_up @ shear_down
         base = projective_space(3)
-        fan = Fan(3, [tuple(int(x) for x in g @ np.array(r, dtype=object))
-                      for r in base.rays], base.max_cones)
+        return Fan(3, [tuple(int(x) for x in g @ np.array(r, dtype=object))
+                       for r in base.rays], base.max_cones)
+
+    @pytest.mark.parametrize("spec", ["P:3", "F:2", "Xd:3", "Xd:5", "dP:3*dP:3", "moved P:3"])
+    def test_matches_lattice_adjugate(self, spec):
+        # the level-by-level growth keeps exactly the independent n-subsets
+        # of the all-combinations enumeration, in its lexicographic order
+        fan = self.moved_projective_space() if spec == "moved P:3" else build_named(spec)
+        assert list(self.cached(fan).items()) == list(self.expected(fan).items())
+
+    def test_inexact_float_adjugate_falls_back(self, monkeypatch):
+        # the float inverses of three of the four cone matrices of the moved
+        # P^3 round to wrong adjugates, which fail the exact check and are
+        # redone exactly
+        fan = self.moved_projective_space()
         calls = []
         exact = lattice.adjugate
         monkeypatch.setattr(lattice, "adjugate", lambda m: calls.append(1) or exact(m))
