@@ -290,61 +290,6 @@ def _scan_constants(fan):
     return hit
 
 
-def _determinants(mats):
-    """Exact determinants of a stack of square integer matrices (Bareiss).
-
-    Every entry the fraction-free elimination writes is a minor of its
-    matrix, so int64 input whose minors are below 2^31 cannot overflow.
-    """
-    m = mats.copy()
-    k, n, _ = m.shape
-    sign = np.ones(k, dtype=np.int64)
-    prev = np.ones(k, dtype=m.dtype)
-    singular = np.zeros(k, dtype=bool)
-    for c in range(n):
-        # swap a row with a nonzero entry in column c up to row c
-        r = c + np.argmax(m[:, c:, c] != 0, axis=1)
-        swap = np.flatnonzero(r != c)
-        row = m[swap, c].copy()
-        m[swap, c] = m[swap, r[swap]]
-        m[swap, r[swap]] = row
-        sign[swap] *= -1
-        singular |= m[:, c, c] == 0
-        pivot = np.where(singular, 1, m[:, c, c])
-        m[:, c + 1:, c + 1:] = (pivot[:, None, None] * m[:, c + 1:, c + 1:]
-                                - m[:, c + 1:, c:c + 1] * m[:, c:c + 1, c + 1:]
-                                ) // prev[:, None, None]
-        prev = pivot
-    return np.where(singular, 0, sign * m[:, n - 1, n - 1])
-
-
-def _adjugates(mats, dets, minor_bound, exact_int64):
-    """Adjugates of nonsingular integer matrices with known determinants.
-
-    Each is det * inverse in floats, rounded, and kept where B @ adj ==
-    det * I holds exactly; the rest are redone with `lattice.adjugate`.
-    With `exact_int64`, every entry of a true adjugate is at most
-    `minor_bound` and the check cannot overflow int64; otherwise it runs in
-    Python ints.
-    """
-    n = mats.shape[1]
-    with np.errstate(all="ignore"):
-        try:
-            approx = np.rint(dets.astype(float)[:, None, None]
-                             * np.linalg.inv(mats.astype(float)))
-        except (np.linalg.LinAlgError, OverflowError):
-            approx = np.full(mats.shape, np.nan)
-        limit = float(minor_bound) if exact_int64 else np.inf
-        ok = (np.isfinite(approx) & (np.abs(approx) <= limit)).all(axis=(1, 2))
-    approx[~ok] = 0
-    adj = (approx.astype(np.int64) if exact_int64
-           else np.frompyfunc(int, 1, 1)(approx))
-    ok &= (mats @ adj == dets[:, None, None] * np.eye(n, dtype=np.int64)).all(axis=(1, 2))
-    for i in np.flatnonzero(~ok):
-        adj[i] = lattice.adjugate(mats[i])[1]
-    return adj
-
-
 def _extension_blocks(subsets, count):
     """Each row of `subsets` extended by every index above its last, in
     lexicographic order, in blocks of about _SUBSET_BLOCK rows."""
@@ -359,6 +304,14 @@ def _extension_blocks(subsets, count):
             yield np.column_stack([part[rows], tail[rows] + 1 + np.arange(len(rows)) - first[rows]])
 
 
+def _int64_if_fits(a):
+    """An exact integer array in int64 when every entry fits, else unchanged."""
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return a
+
+
 def _vertex_data(fan):
     """Cached per fan: (J, det B_J, adj B_J) for every independent n-subset J,
     in lexicographic order.
@@ -366,39 +319,29 @@ def _vertex_data(fan):
     B_J has the rays of J as rows, and B_J @ adj_J == det_J * I exactly.
     The independent sets grow level by level: each independent k-subset is
     extended only by rays of larger index, and kept when its Gram matrix
-    B B^T has a nonzero determinant.  Candidates go in blocks of about
-    _SUBSET_BLOCK, so memory stays bounded however many there are.
+    B B^T (a submatrix of all rays' Gram matrix) has a nonzero determinant.
+    Candidates go in blocks of about _SUBSET_BLOCK, so memory stays bounded
+    however many there are.  All eliminations are `lattice._bareiss`.
     """
     key = ("cohomology", "vertices")
     hit = fan._cache.get(key)
     if hit is not None:
         return hit
-    n = fan.dim
     count = len(fan.rays)
-    # Hadamard: a minor is at most the product of its rows' norms, each < norm
-    norm = max(math.isqrt(sum(x * x for x in r)) + 1 for r in fan.rays)
-    minor_bound = norm ** n
-    entry = max(abs(x) for r in fan.rays for x in r)
-    exact_int64 = minor_bound < _INT64_SAFE and n * entry * minor_bound < 2 ** 62
-    # Hadamard for a Gram matrix of k < n rays: each row has norm at most
-    # sqrt(k) * max |v|^2, so its minors are at most that to the k
-    square = max(sum(x * x for x in r) for r in fan.rays)
-    gram_int64 = exact_int64 and (n - 1) ** (n - 1) * square ** (2 * n - 2) < _INT64_SAFE ** 2
-    rays = np.array(fan.rays, dtype=np.int64 if exact_int64 else object)
+    rays = _int64_if_fits(fan.ray_matrix)
+    gram = _int64_if_fits(fan.ray_matrix @ fan.ray_matrix.T)
     level = np.empty((1, 0), dtype=np.intp)
-    for k in range(1, n):
+    for k in range(1, fan.dim):
         parts = [np.empty((0, k), dtype=np.intp)]
         for subsets in _extension_blocks(level, count):
-            mats = rays[subsets].astype(np.int64 if gram_int64 else object)
-            parts.append(subsets[_determinants(mats @ mats.transpose(0, 2, 1)) != 0])
+            dets, _ = lattice._bareiss(gram[subsets[:, :, None], subsets[:, None, :]], False)
+            parts.append(subsets[dets != 0])
         level = np.concatenate(parts)
     parts = []
     for subsets in _extension_blocks(level, count):
-        mats = rays[subsets]
-        dets = _determinants(mats)
-        keep = dets != 0
-        mats, dets = mats[keep], dets[keep]
-        parts.append((subsets[keep], dets, _adjugates(mats, dets, minor_bound, exact_int64)))
+        dets, _ = lattice._bareiss(rays[subsets], False)
+        subsets = subsets[dets != 0]
+        parts.append((subsets, *lattice._bareiss(rays[subsets], True)))
     hit = tuple(np.concatenate(column) for column in zip(*parts))
     fan._cache[key] = hit
     return hit

@@ -38,18 +38,20 @@ def principal_divisor(fan, m):
     return tuple(int(x) for x in fan.ray_matrix @ mv)
 
 
+def _cartier(fan, a):
+    """Row sigma of the (#cones, dim) object array is m_sigma for coefficients a."""
+    cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim)
+    inverses = np.array(fan.cone_inverses, dtype=object).reshape(-1, fan.dim, fan.dim)
+    return (inverses @ -np.array(a, dtype=object)[cones][:, :, None])[:, :, 0]
+
+
 def cartier_data(fan, divisor):
     """Per maximal cone, the functional m_sigma with <m_sigma, v_j> = -a_j.
 
     On a smooth fan every divisor is Cartier and each m_sigma is the unique
     integral solution over the cone's ray basis.
     """
-    a = _coeffs(fan, divisor)
-    data = []
-    for cone, inv in zip(fan.max_cones, fan.cone_inverses):
-        rhs = np.array([-a[j] for j in cone], dtype=object)
-        data.append(tuple(int(x) for x in inv @ rhs))
-    return tuple(data)
+    return tuple(map(tuple, _cartier(fan, _coeffs(fan, divisor)).tolist()))
 
 
 def _pic_projection(fan):
@@ -99,21 +101,19 @@ def positivity(fan, divisor, mode):
     """Nef/ample test by convexity of the Cartier data.
 
     ample:  <m_sigma, v_j> > -a_j for every maximal cone and every ray not
-    in the cone; nef: the same with >=.  Returns the first violating pair.
+    in the cone; nef: the same with >=.  All pairings come from one array
+    product; the witness is the first violating pair, cones first.
     """
     if mode not in ("nef", "ample"):
         raise ValueError(f"mode must be 'nef' or 'ample', got {mode!r}")
-    a = _coeffs(fan, divisor)
-    data = cartier_data(fan, divisor)
-    for ci, cone in enumerate(fan.max_cones):
-        m = np.array(data[ci], dtype=object)
-        inside = set(cone)
-        for j, ray in enumerate(fan.rays):
-            if j in inside:
-                continue
-            val = int(np.dot(m, np.array(ray, dtype=object)))
-            if val < -a[j] or (mode == "ample" and val == -a[j]):
-                return PositivityReport(False, mode, (ci, j))
+    a = np.array(_coeffs(fan, divisor), dtype=object)
+    values = _cartier(fan, a) @ fan.ray_matrix.T
+    bad = values <= -a if mode == "ample" else values < -a
+    cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim)
+    bad[np.arange(len(cones))[:, None], cones] = False
+    hits = np.argwhere(bad)
+    if len(hits):
+        return PositivityReport(False, mode, tuple(hits[0].tolist()))
     return PositivityReport(True, mode)
 
 

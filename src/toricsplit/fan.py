@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import NotUnimodular, adjugate, as_matrix
+from .lattice import NotUnimodular, _bareiss, as_matrix
 
 
 class InvalidSpec(ValueError):
@@ -80,14 +80,16 @@ class Fan:
 
     @cached_property
     def cone_matrices(self):
-        """Per maximal cone: the dim x dim matrix with the cone's rays as rows."""
-        return tuple(as_matrix([self.rays[j] for j in cone])
-                     for cone in self.max_cones)
+        """(#cones, dim, dim) object array: each maximal cone's rays as rows."""
+        cones = np.array(self.max_cones, dtype=np.intp).reshape(-1, self.dim)
+        return self.ray_matrix[cones]
 
     @cached_property
     def cone_adjugates(self):
-        """Per maximal cone: (det, adj) of its matrix, from one exact elimination."""
-        return tuple(adjugate(m) for m in self.cone_matrices)
+        """Per maximal cone: (det, adj) of its matrix, as a Python int and an
+        object array, from one batched exact elimination of all cones."""
+        dets, adjs = _bareiss(self.cone_matrices, True)
+        return tuple(zip(dets.tolist(), adjs.astype(object)))
 
     @cached_property
     def cone_inverses(self):
@@ -427,8 +429,9 @@ def validate(fan):
     3. those two cones lie on opposite sides of the wall;
     4. the sum of cone 0's rays lies in exactly one closed maximal cone.
 
-    All four read the cones' determinants and adjugates, which one exact
-    elimination per cone computes and `Fan.cone_adjugates` caches.
+    All four read the cones' determinants and adjugates, which one batched
+    exact elimination of all cone matrices computes and `Fan.cone_adjugates`
+    caches.  A fan without maximal cones is not complete.
 
     By 1-3 a path that leaves a cone through a facet enters exactly one
     other cone, so all points off the codimension-2 faces lie in the same
@@ -447,8 +450,10 @@ def validate(fan):
     for cone, d in bad[:5]:
         messages.append(f"cone {cone} has determinant {d}")
 
-    complete = 0 not in dets
-    if not complete:
+    complete = bool(dets) and 0 not in dets
+    if not dets:
+        messages.append("the fan has no maximal cones")
+    elif not complete:
         messages.append(f"cone {fan.max_cones[dets.index(0)]} is not full-dimensional")
     incidence = _facet_incidence(fan)
     for facet, adj in incidence.items():

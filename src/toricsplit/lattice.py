@@ -1,9 +1,11 @@
-"""Exact integer linear algebra on numpy object arrays.
+"""Exact integer linear algebra on numpy arrays.
 
-Everything here works over Z with arbitrary-precision Python ints: matrices
-and vectors are numpy arrays of dtype=object, so intermediate values (Smith
-multipliers in particular) can grow without silent overflow.  Matrices are
-row-major; a vector is a 1-d array.
+Everything here works over Z without silent overflow.  Matrices and vectors
+are numpy arrays of dtype=object holding Python ints, so intermediate values
+(Smith multipliers in particular) can grow freely; the one exception is the
+batched determinant and adjugate elimination `_bareiss`, which runs in int64
+when a Hadamard bound proves every value it writes fits, and in Python ints
+otherwise.  Matrices are row-major; a vector is a 1-d array.
 """
 
 import math
@@ -45,58 +47,103 @@ def identity(n):
     return m
 
 
-def _eliminate(m):
-    """Fraction-free Gauss-Jordan elimination (Bareiss-Montante) on [m | I].
+_MINOR_LIMIT = 2 ** 31
 
-    Step k swaps in a nonzero pivot from below if needed, then replaces
-    every other row r by (a_kk * r - a_rk * row k) / (previous pivot); the
-    division is exact by Sylvester's identity.  Afterwards the left half is
-    det * I and the right half det * m^-1, both up to the swaps' sign.
-    Returns (det, adj), or (0, None) when some column has no pivot.
+
+def _bareiss(mats, adjugates):
+    """(dets, adjs) of a stack of square integer matrices, exactly.
+
+    One fraction-free elimination (Bareiss) runs on the whole (k, n, n)
+    stack.  Step c swaps a row with a nonzero entry in column c up to row
+    c, then replaces each later row r by (a_cc * r - a_rc * row c) /
+    (previous pivot), exactly by Sylvester's identity; the last pivot is
+    the determinant up to the swaps' sign.  A matrix with no pivot in some
+    column has det 0 and is set to the identity for the remaining steps.
+
+    With `adjugates` the identity is appended and the rows above the pivot
+    are updated too (Montante), so the appended block ends as the adjugate
+    up to sign; otherwise adjs is None.  Before step c only its first c
+    columns differ from (previous pivot) * I, so only those are stored; a
+    row swap swaps the columns not yet stored instead, undone at the end.
+    Singular matrices get their adjugates from the determinants of their
+    minors, in one further call.
+
+    Every entry written is a minor of m, or of [m | I], which is one of m
+    up to sign.  By Hadamard a j x j minor is below (isqrt(n e^2) + 1)^j,
+    e the largest |entry|.  When (isqrt(n e^2) + 1)^n < 2^31 every product
+    of two minors is below 2^62, and the elimination runs in int64;
+    otherwise in Python ints.
     """
-    a = as_matrix(m)
-    n, cols = a.shape
-    if n != cols:
-        raise NotSquare(f"expected a square matrix, got {n}x{cols}")
-    a = np.concatenate([a, identity(n)], axis=1)
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r, k] != 0), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            sign = -sign
-        pivot_row = a[k].copy()
-        a = (a[k, k] * a - a[:, k:k + 1] * pivot_row) // prev
-        a[k] = pivot_row
-        prev = pivot_row[k]
-    return sign * prev, sign * a[:, n:]
+    k, n = len(mats), mats.shape[1]
+    e = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
+    dtype = np.int64 if (math.isqrt(n * e * e) + 1) ** n < _MINOR_LIMIT else object
+    # a[row, column, matrix]: every update runs along the stack, contiguously
+    a = np.zeros((n, 2 * n if adjugates else n, k), dtype=dtype)
+    a[:, :n] = mats.transpose(1, 2, 0)
+    reset = np.zeros(a.shape[:2] + (1,), dtype=dtype)
+    reset[:, :n, 0] = np.eye(n, dtype=np.int64)
+    sign = np.ones(k, dtype=np.int64)
+    prev = np.ones(k, dtype=dtype)
+    singular = np.zeros(k, dtype=bool)
+    perm = np.tile(np.arange(n)[:, None], (1, k))
+    for c in range(n):
+        stored = n + c if adjugates else n
+        r = c + np.argmax(a[c:, c] != 0, axis=0)
+        swap = np.flatnonzero(r != c)
+        row = a[c, :stored, swap].copy()
+        a[c, :stored, swap] = a[r[swap], :stored, swap]
+        a[r[swap], :stored, swap] = row
+        perm[c, swap], perm[r[swap], swap] = perm[r[swap], swap], perm[c, swap]
+        sign[swap] *= -1
+        dead = a[c, c] == 0
+        singular |= dead
+        a[:, :, dead] = reset
+        prev[dead] = 1
+        pivot = a[c, c].copy()
+        pivot_row = a[c].copy()
+        low = 0 if adjugates else c + 1
+        rest = pivot * a[low:, c + 1:stored] - a[low:, c:c + 1] * pivot_row[c + 1:stored]
+        a[low:, c + 1:stored] = rest // prev if c else rest
+        a[c] = pivot_row
+        if adjugates:
+            a[:, stored] = -a[:, c]
+            a[c, stored] = prev
+        prev = pivot
+    dets = np.where(singular, 0, sign * prev)
+    if not adjugates:
+        return dets, None
+    adjs = np.empty((k, n, n), dtype=dtype)
+    adjs[np.arange(k), :, perm] = a[:, n:].transpose(1, 2, 0)
+    adjs *= sign[:, None, None]
+    dead = np.flatnonzero(singular)
+    if len(dead):
+        # adj[i, j] = (-1)^(i+j) det(m without row j and column i)
+        keep = np.array([[j for j in range(n) if j != i] for i in range(n)],
+                        dtype=np.intp).reshape(n, n - 1)
+        minors = mats[dead][:, keep[:, None, :, None], keep[None, :, None, :]]
+        cofactors, _ = _bareiss(minors.reshape(len(dead) * n * n, n - 1, n - 1), False)
+        signs = (-1) ** np.add.outer(np.arange(n), np.arange(n))
+        adjs[dead] = (signs * cofactors.reshape(len(dead), n, n)).transpose(0, 2, 1)
+    return dets, adjs
 
 
 def determinant(m):
     """Exact determinant of a square matrix."""
-    return _eliminate(m)[0]
+    return adjugate(m)[0]
 
 
 def adjugate(m):
-    """(det m, adj m) of a square matrix, with m @ adj == adj @ m == det * I.
-
-    One elimination gives both; a singular matrix, which has no pivot in
-    some column, gets its adjugate from the determinants of its minors.
-    """
-    det, adj = _eliminate(m)
-    if adj is None:
-        a = as_matrix(m)
-        n = len(a)
-        adj = np.array([[(-1) ** (i + j) * determinant(np.delete(np.delete(a, j, 0), i, 1))
-                         for j in range(n)] for i in range(n)], dtype=object)
-    return det, adj
+    """(det m, adj m) of a square matrix, with m @ adj == adj @ m == det * I."""
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise NotSquare(f"expected a square matrix, got {a.shape[0]}x{a.shape[1]}")
+    dets, adjs = _bareiss(a[None], True)
+    return int(dets[0]), adjs[0].astype(object)
 
 
 def unimodular_inverse(m):
     """Exact inverse of a matrix in GL_n(Z), which is det * adj."""
-    det, adj = _eliminate(m)
+    det, adj = adjugate(m)
     if det not in (1, -1):
         raise NotUnimodular(f"matrix has determinant {det}")
     return det * adj

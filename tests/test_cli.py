@@ -245,6 +245,17 @@ class TestBadInput:
                              {"dim": 2, "rays": rays, "max_cones": cones})
             assert_input_error(capsys, "variety", "info", "--fan", fan)
 
+    def test_no_maximal_cones(self, capsys, tmp_path):
+        fan = self.write(tmp_path, "f.json",
+                         {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": []})
+        for argv in (("variety", "info", "--fan", fan),
+                     ("cohomology", "compute", "--fan", fan),
+                     ("bondal", "check", "--fan", fan)):
+            assert_input_error(capsys, *argv)
+        status, out, err = run(capsys, "variety", "info", "--fan", fan)
+        assert status == 2 and err == (f"error: fan in {fan} is not smooth and "
+                                       "complete: the fan has no maximal cones\n")
+
     @pytest.mark.parametrize("data", [
         {"dim": 2.0, "rays": [[1, 0], [0, 1], [-1, -1]],
          "max_cones": [[0, 1], [1, 2], [0, 2]]},

@@ -334,17 +334,4 @@ class TestVertexData:
         # of the all-combinations enumeration, in its lexicographic order
         fan = self.moved_projective_space() if spec == "moved P:3" else build_named(spec)
         assert list(self.cached(fan).items()) == list(self.expected(fan).items())
-
-    def test_inexact_float_adjugate_falls_back(self, monkeypatch):
-        # the float inverses of three of the four cone matrices of the moved
-        # P^3 round to wrong adjugates, which fail the exact check and are
-        # redone exactly
-        fan = self.moved_projective_space()
-        calls = []
-        exact = lattice.adjugate
-        monkeypatch.setattr(lattice, "adjugate", lambda m: calls.append(1) or exact(m))
-        cached = self.cached(fan)
-        assert calls
-        assert cached == self.expected(fan)
-        assert len(cached) == 4
-        assert line_bundle_cohomology(fan, zero(fan)).dims == (1, 0, 0, 0)
+        assert line_bundle_cohomology(fan, zero(fan)).dims == (1,) + (0,) * fan.dim

@@ -162,6 +162,27 @@ class TestPositivity:
                 if positivity(fan, d, "ample").ok:
                     assert positivity(fan, d, "nef").ok
 
+    @staticmethod
+    def first_violation(fan, d, mode):
+        # the per-cone, per-ray loop over the Cartier data, as a reference
+        for ci, (cone, m) in enumerate(zip(fan.max_cones, cartier_data(fan, d))):
+            for j, ray in enumerate(fan.rays):
+                val = sum(x * y for x, y in zip(m, ray))
+                if j not in cone and (val < -d[j] or (mode == "ample" and val == -d[j])):
+                    return ci, j
+        return None
+
+    @pytest.mark.parametrize("spec", ["P:2", "dP:3", "F:2", "Xd:3", "P:1*dP:3"])
+    def test_first_witness_matches_loop(self, spec):
+        rng = random.Random(f"witness/{spec}")
+        fan = build_named(spec)
+        for _ in range(30):
+            d = random_divisor(rng, fan, span=3)
+            for mode in ("nef", "ample"):
+                report = positivity(fan, d, mode)
+                assert report.witness == self.first_violation(fan, d, mode)
+                assert report.ok == (report.witness is None)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             positivity(projective_space(1), (0, 0), "very-ample")

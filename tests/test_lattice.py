@@ -1,7 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricsplit import lattice
 from toricsplit.lattice import (
@@ -116,6 +119,77 @@ class TestAdjugate:
     def test_not_square(self):
         with pytest.raises(NotSquare):
             adjugate([[1, 2, 3], [4, 5, 6]])
+
+
+def hadamard_bound(n, e):
+    return (math.isqrt(n * e * e) + 1) ** n
+
+
+def largest_int64_entry(n):
+    """The largest e with hadamard_bound(n, e) < 2^31."""
+    low, high = 0, 2 ** 31
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if hadamard_bound(n, mid) < 2 ** 31 else (low, mid)
+    return low
+
+
+@st.composite
+def square_stacks(draw):
+    """A stack of n x n matrices mixing nonsingular, rank n-1, rank <= n-2
+    and leading-zero-pivot matrices, with the largest entry placed so that
+    the Hadamard bound is below, at or above 2^31, or small."""
+    n = draw(st.integers(1, 5))
+    below = largest_int64_entry(n)
+    top = draw(st.sampled_from([5, below, below + 1, 2 ** 40 + 3]))
+    half = st.integers(-(top // 2), top // 2)
+    mats = []
+    for _ in range(draw(st.integers(0, 6))):
+        m = [[draw(half) for _ in range(n)] for _ in range(n)]
+        kind = draw(st.sampled_from(["any", "rank n-1", "rank n-2", "zero pivots"]))
+        pick = st.integers(0, n - 1)
+        if kind == "rank n-1" and n > 1:
+            j, k = draw(pick), draw(pick)
+            m[0] = [x + draw(st.sampled_from([-1, 1])) * y for x, y in zip(m[j or 1], m[k or 1])]
+        elif kind == "rank n-2" and n > 2:
+            rest = st.integers(2, n - 1)
+            for r in (0, 1):
+                j, k = draw(rest), draw(rest)
+                m[r] = [x + draw(st.sampled_from([-1, 0, 1])) * y for x, y in zip(m[j], m[k])]
+        elif kind == "zero pivots":
+            for r in range(draw(pick) + 1):
+                m[r][0] = 0
+        mats.append(m)
+    if mats:
+        # one diagonal matrix carries the largest entry exactly
+        mats.append([[top if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+    return n, mats
+
+
+class TestBareiss:
+    """The batched elimination against cofactor expansion, on both dtypes."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(square_stacks())
+    @example((1, [[[2 ** 31 - 1]], [[0]], [[-5]]]))  # the bound is exactly 2^31
+    def test_against_cofactors(self, case):
+        n, mats = case
+        stack = np.array(mats, dtype=object).reshape(len(mats), n, n)
+        e = max((abs(x) for m in mats for row in m for x in row), default=0)
+        inputs = [stack] + ([stack.astype(np.int64)] if e < 2 ** 62 else [])
+        for given_stack in inputs:
+            dets, adjs = lattice._bareiss(given_stack, True)
+            assert dets.dtype == (np.int64 if hadamard_bound(n, e) < 2 ** 31 else object)
+            assert dets.tolist() == [cofactor_det(m) for m in mats]
+            assert adjs.shape == (len(mats), n, n)
+            assert adjs.tolist() == [cofactor_adjugate(m) for m in mats]
+            only_dets, none = lattice._bareiss(given_stack, False)
+            assert none is None and only_dets.tolist() == dets.tolist()
+
+    def test_threshold(self):
+        # a 1 x 1 matrix reaches the bound 2^31 exactly at 2^31 - 1
+        assert largest_int64_entry(1) == 2 ** 31 - 2
+        assert hadamard_bound(1, 2 ** 31 - 1) == 2 ** 31
 
 
 class TestDeterminant:
