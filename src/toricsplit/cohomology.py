@@ -25,6 +25,15 @@ its reduced cohomology dims, indexed by degree + 1, are the convolution of
 the blocks' dims.  Each block reduces only the sub-masks it has not seen
 before, on its own small complex; a fan that is no join is one block.
 
+A fan that is the product of fans on disjoint blocks of coordinates (the
+components of the graph joining two coordinates when some ray is nonzero in
+both, accepted by the same cone count as the join blocks) is not scanned
+whole.  Each factor is scanned at its own B(D), or at the fixed box, and
+caches its cumulative dims and contributing counts per sup-norm.  The box
+[-s, s]^n is the product of the factors' boxes, so by Kunneth the product's
+dims at s are the convolution of the factors' and its contributing degrees
+number the product of theirs; its B(D) is the largest of the factors'.
+
 On top of that sit the (strongly) exceptional collection checks: Ext groups
 between line bundles are cohomology of coefficient differences.
 """
@@ -38,7 +47,7 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, divisor_class
-from .fan import FaceComplex, fan_product
+from .fan import FaceComplex, Fan, _poly_mul, fan_product
 
 _INT64_SAFE = 2 ** 31
 _BLOCK = 2 ** 16
@@ -117,6 +126,42 @@ def _subset_dims(complex_, mask, top):
 # join blocks of the face complex
 
 
+def _components(adjacent):
+    """Connected components of the graph with boolean adjacency matrix
+    `adjacent`, each sorted, in the order of their smallest vertices."""
+    label = [-1] * len(adjacent)
+    components = []
+    for root in range(len(adjacent)):
+        if label[root] >= 0:
+            continue
+        label[root] = len(components)
+        component, stack = [], [root]
+        while stack:
+            j = stack.pop()
+            component.append(j)
+            for k in np.flatnonzero(adjacent[j]).tolist():
+                if label[k] < 0:
+                    label[k] = len(components)
+                    stack.append(k)
+        components.append(sorted(component))
+    return components
+
+
+def _restrictions(cones, blocks):
+    """Per block of rays: the sorted distinct sets `cone & block` of the
+    cones, in block-local indices."""
+    local = {j: (b, i) for b, block in enumerate(blocks) for i, j in enumerate(block)}
+    found = [set() for _ in blocks]
+    for cone in cones:
+        parts = [[] for _ in blocks]
+        for j in cone:
+            b, i = local[j]
+            parts[b].append(i)
+        for seen, part in zip(found, parts):
+            seen.add(tuple(part))
+    return [sorted(seen) for seen in found]
+
+
 def _join_blocks(fan):
     """(blocks, facets): a partition of the rays whose face complexes the
     fan's face complex is the join of, with each block's distinct facets
@@ -133,27 +178,51 @@ def _join_blocks(fan):
     together = np.eye(count, dtype=bool)
     for cone in fan.max_cones:
         together[np.ix_(cone, cone)] = True
-    label = [-1] * count
-    blocks = []
-    for root in range(count):
-        if label[root] >= 0:
-            continue
-        label[root] = len(blocks)
-        block, stack = [], [root]
-        while stack:
-            j = stack.pop()
-            block.append(j)
-            for k in np.flatnonzero(~together[j]).tolist():
-                if label[k] < 0:
-                    label[k] = len(blocks)
-                    stack.append(k)
-        blocks.append(sorted(block))
-    local = {j: i for block in blocks for i, j in enumerate(block)}
-    facets = [sorted({tuple(local[j] for j in cone if label[j] == b)
-                      for cone in fan.max_cones}) for b in range(len(blocks))]
+    blocks = _components(~together)
+    facets = _restrictions(fan.max_cones, blocks)
     if math.prod(map(len, facets)) != len(fan.max_cones):
         return [list(range(count))], [list(fan.max_cones)]
     return blocks, facets
+
+
+def _coordinate_factors(fan):
+    """Cached per fan: [(factor fan, its ray indices)] when the fan is the
+    product of fans on disjoint blocks of coordinates, else None.
+
+    The blocks are the components of the graph on the coordinates in which
+    two coordinates are joined when some ray is nonzero in both, so every
+    ray lies in the coordinate span of one block.  The fan is accepted as
+    the product of its blocks' sub-fans when there are at least two blocks,
+    every restriction `cone & rays(block)` has as many rays as the block has
+    coordinates, and #cones equals the product of the numbers of distinct
+    restrictions: then every choice of one restriction per block is a cone,
+    as in `_join_blocks`.  Equal factors share one fan, and so one cache.
+    """
+    key = ("cohomology", "factors")
+    if key in fan._cache:
+        return fan._cache[key]
+    support = np.array([[x != 0 for x in r] for r in fan.rays], dtype=np.int64)
+    coordinates = _components(support.T @ support > 0)
+    owner = np.empty(fan.dim, dtype=np.int64)
+    for b, block in enumerate(coordinates):
+        owner[block] = b
+    first = owner[support.argmax(axis=1)]
+    groups = [np.flatnonzero(first == b).tolist() for b in range(len(coordinates))]
+    facets = _restrictions(fan.max_cones, groups)
+    factors = None
+    if len(coordinates) >= 2 and \
+            all(len(f) == len(block) for block, fs in zip(coordinates, facets) for f in fs) and \
+            math.prod(map(len, facets)) == len(fan.max_cones):
+        shared = {}
+        factors = []
+        for block, group, fs in zip(coordinates, groups, facets):
+            rays = tuple(tuple(fan.rays[j][c] for c in block) for j in group)
+            factor = shared.get((rays, tuple(fs)))
+            if factor is None:
+                factor = shared[rays, tuple(fs)] = Fan(len(block), rays, fs)
+            factors.append((factor, group))
+    fan._cache[key] = factors
+    return factors
 
 
 class _Block:
@@ -401,6 +470,23 @@ def _scan(fan, a, radius):
     return hs, contributing
 
 
+def _cumulative_scan(fan, a, box):
+    """Per sup-norm s up to the scanned radius (B(D), or `box`): h^0..h^n
+    and the number of contributing degrees over [-s, s]^n, as lists of
+    Python ints."""
+    hs, contributing = _scan(fan, a, _degree_bound(fan, a) if box is None else box)
+    return np.cumsum(hs, axis=0).tolist(), np.cumsum(contributing).tolist()
+
+
+def _factor_scan(fan, a, box):
+    """`_cumulative_scan` of a coordinate factor, cached in its own fan."""
+    key = ("cohomology", "factor", a, box)
+    hit = fan._cache.get(key)
+    if hit is None:
+        hit = fan._cache[key] = _cumulative_scan(fan, a, box)
+    return hit
+
+
 def line_bundle_cohomology(fan, divisor, box=None):
     """Exact cohomology table of O(D) on a smooth complete fan.
 
@@ -409,10 +495,19 @@ def line_bundle_cohomology(fan, divisor, box=None):
     doubling rule stopped at, replayed on the contributing degrees counted
     per sup-norm: start at R = 1 + max|a_j| * max|v_j| and double while a
     degree of sup-norm R or R-1 contributes.  `box` forces a fixed radius
-    instead, and the table counts that box only.  Raises ValueError for a
-    negative `box`, a coefficient of absolute value 2^31 or more, a scanned
-    box whose pairings <m, v_j> reach 2^31, and a scanned box of more than
-    _MAX_BOX_POINTS degrees; all of these are decided before any scan.
+    instead, and the table counts that box only.
+
+    A product of fans on disjoint blocks of coordinates (`_coordinate_factors`)
+    is scanned factor by factor instead, each at its own B(D) or at `box`.
+    Its box [-s, s]^n is the product of the factors' boxes, so by Kunneth
+    its cumulative dims at s are the convolution of the factors' and its
+    contributing degrees of sup-norm <= s number the product of theirs; its
+    B(D) is the largest of the factors'.
+
+    Raises ValueError for a negative `box`, a coefficient of absolute value
+    2^31 or more, and, for each scanned fan, more than 62 rays, a scanned box
+    whose pairings <m, v_j> reach 2^31, or one of more than _MAX_BOX_POINTS
+    degrees; all of these are decided before that fan's scan.
     """
     a = _coeffs(fan, divisor)
     if box is not None and box < 0:
@@ -420,24 +515,33 @@ def line_bundle_cohomology(fan, divisor, box=None):
     cached = fan._cache.get(("cohomology", a, box))
     if cached is not None:
         return cached
-    if len(fan.rays) > 62:
+    factors = _coordinate_factors(fan)
+    scanned = [fan] if factors is None else [f for f, _ in factors]
+    if max(len(f.rays) for f in scanned) > 62:
         raise ValueError("bitmask fast path supports at most 62 rays")
-    if max((abs(x) for x in a), default=0) >= _INT64_SAFE:
+    largest = max(map(abs, a), default=0)
+    if largest >= _INT64_SAFE:
         raise ValueError("divisor coefficients must be below 2^31 in absolute "
                          "value for the int64 degree scan")
+    if factors is None:
+        sums = [_cumulative_scan(fan, a, box)]
+    else:
+        sums = [_factor_scan(f, tuple(a[j] for j in rays), box) for f, rays in factors]
     if box is not None:
         radius = int(box)
-        hs, _ = _scan(fan, a, radius)
     else:
-        hs, contributing = _scan(fan, a, _degree_bound(fan, a))
-        norms = np.flatnonzero(contributing)
+        counts = [math.prod(c[min(s, len(c) - 1)] for _, c in sums)
+                  for s in range(max(len(c) for _, c in sums))]
+        norms = [s for s, c in enumerate(counts) if c > (counts[s - 1] if s else 0)]
         _, _, ray_span = _scan_constants(fan)
-        radius = 1 + max((abs(x) for x in a), default=0) * ray_span
+        radius = 1 + largest * ray_span
         # the doubling rule: the largest contributing sup-norm <= R is R-1 or R
-        while norms[norms <= radius].max(initial=-1) >= radius - 1:
+        while max((s for s in norms if s <= radius), default=-1) >= radius - 1:
             radius *= 2
-        hs = hs[:radius + 1]
-    table = CohomologyTable(tuple(int(h) for h in hs.sum(axis=0)), radius)
+    dims = [1]
+    for hs, _ in sums:
+        dims = _poly_mul(dims, hs[min(radius, len(hs) - 1)])
+    table = CohomologyTable(tuple(dims), radius)
     fan._cache[("cohomology", a, box)] = table
     return table
 

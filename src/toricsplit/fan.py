@@ -299,9 +299,11 @@ def tower_primitive_pairs(d):
 def del_pezzo_bundle(d):
     """The d-dimensional (dP3)^((d-1)/2)-fiber bundle over P^1, d odd >= 3.
 
-    This is the unique smooth toric Fano d-fold with Picard number 2d-1 that
-    is not a product; maximal cones are derived from the primitive pair list
-    and the result is validated before being returned.
+    Maximal cones are derived from the primitive pair list and the result is
+    validated before being returned.  At d = 3 the fan is not a product.
+    For d >= 5 its Xd:3 rays use coordinates 0-2 and each further hexagon
+    its own pair of coordinates, so it is the product fan
+    Xd:3 x dP3^((d-3)/2), with the rays in another order.
     """
     if d < 3 or d % 2 == 0:
         raise InvalidSpec(f"the tower is defined for odd d >= 3, got {d}")

@@ -161,6 +161,18 @@ class TestCohomology:
         assert status == 0
         assert report["result"] == {"dims": dims, "box": box}
 
+    def test_product_scanned_per_factor(self, capsys, tmp_path):
+        # 16(-K) on dP3^3 has B(D) = 32: the whole box would hold 65^6 > 2^30
+        # degrees, but each hexagon factor scans only 65^2.  Its sections are
+        # the lattice points of 16 times the hexagon, 3*16^2 + 3*16 + 1 = 817
+        # per factor, and 545338513 = 817^3.
+        div = tmp_path / "d.json"
+        div.write_text(json.dumps({"coeffs": [16] * 18}))
+        status, report = run_json(capsys, "cohomology", "compute",
+                                  "--variety", "dP:3*dP:3*dP:3", "--divisor", str(div))
+        assert status == 0
+        assert report["result"] == {"dims": [545338513, 0, 0, 0, 0, 0, 0], "box": 34}
+
 
 def assert_input_error(capsys, *argv):
     """Exit 2 with exactly one line on stderr, an `error:` message."""

@@ -9,7 +9,7 @@ from toricsplit import cohomology
 from toricsplit.cohomology import line_bundle_cohomology
 from toricsplit.fan import build_named
 
-SPECS = ["P:1", "P:2", "dP:3", "F:2", "Xd:3", "P:1*P:1"]
+SPECS = ["P:1", "P:2", "dP:3", "F:2", "Xd:3", "P:1*P:1", "P:2*P:1"]
 
 
 def cases(spec, fan):
