@@ -33,6 +33,11 @@ FANS = {
     "singular_multi_fan": {"dim": 2,
                            "rays": [[2, 1], [1, 2], [-4, -5], [7, 8], [-1, -1], [-1, -2]],
                            "max_cones": [[i, (i + 1) % 6] for i in range(6)]},
+    # dP3 without its cone (4, 5): the walls (5,) and (4,) lie in one cone
+    # each, and validate reports them in the order the cones first meet them
+    "dp3_missing_cone": {"dim": 2,
+                         "rays": [[1, 0], [0, 1], [-1, 1], [-1, 0], [0, -1], [1, -1]],
+                         "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [5, 0]]},
 }
 
 
@@ -63,9 +68,13 @@ INPUTS = {
 }
 
 CASES = {}
-for _spec in ("Xd:3", "Xd:5", "Xd:7", "dP:3*dP:3", "F:2", "P:3"):
+for _spec in ("Xd:3", "Xd:5", "Xd:7", "Xd:9", "dP:3*dP:3", "F:2", "P:3"):
     _name = _spec.replace(":", "").replace("*", "_")
     CASES[f"info_{_name}"] = ("variety", "info", _spec)
+    CASES[f"bondal_{_name}"] = ("bondal", "check", "--variety", _spec)
+# F:3 fails at one wall; the triple product has 3 * 18 * 6 * 6 walls
+for _spec in ("F:3", "dP:3*dP:3*dP:3"):
+    _name = _spec.replace(":", "").replace("*", "_")
     CASES[f"bondal_{_name}"] = ("bondal", "check", "--variety", _spec)
 CASES["split_Xd3_p3"] = ("frobenius", "split", "--variety", "Xd:3", "--p", "3")
 CASES["split_Xd5_p3"] = ("frobenius", "split", "--variety", "Xd:5", "--p", "3",
