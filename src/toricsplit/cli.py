@@ -7,7 +7,9 @@ identical inputs; timing goes to stderr.
 
 import argparse
 import contextlib
+import functools
 import json
+import os
 import sys
 import time
 
@@ -16,7 +18,7 @@ from . import cohomology as cohomology_mod
 from . import divisor as divisor_mod
 from . import fan as fan_mod
 from . import frobenius as frobenius_mod
-from .fan import Fan, InvalidSpec, build_named, poincare_polynomial, validate
+from .fan import Fan, InvalidSpec, build_named, validate
 
 
 class InputError(Exception):
@@ -32,7 +34,10 @@ def _input_errors():
         raise InputError(str(exc)) from exc
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and reused: parsing leaves
+    it unchanged."""
     parser = argparse.ArgumentParser(
         prog="toricsplit",
         description="Exact toric fans, Frobenius splittings, wall relations, "
@@ -194,7 +199,6 @@ def _cmd_variety(args):
     fan = _load_fan(args, variety_attr="descriptor")
     if args.action == "export":
         return fan.to_json_dict(), 0
-    poly = poincare_polynomial(fan)
     info = {
         "descriptor": args.descriptor,
         "dim": fan.dim,
@@ -202,7 +206,8 @@ def _cmd_variety(args):
         "max_cones": len(fan.max_cones),
         "picard_rank": divisor_mod.picard_rank(fan),
         "fano": divisor_mod.is_fano(fan),
-        "euler_characteristic": poly.euler_characteristic,
+        # P(-1) of the Poincare polynomial: one torus-fixed point per maximal cone
+        "euler_characteristic": len(fan.max_cones),
     }
     return info, 0
 
@@ -363,7 +368,15 @@ def main(argv=None):
 
 
 def console_entry():
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so that the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -86,18 +86,19 @@ class Fan:
 
     @cached_property
     def cone_adjugates(self):
-        """Per maximal cone: (det, adj) of its matrix, as a Python int and an
-        object array, from one batched exact elimination of all cones."""
-        dets, adjs = _bareiss(self.cone_matrices, True)
-        return tuple(zip(dets.tolist(), adjs.astype(object)))
+        """(dets, adjs) of all cone matrices, a (#cones,) and a (#cones, dim,
+        dim) array from one batched exact elimination: int64 under its
+        Hadamard bound, Python ints otherwise."""
+        return _bareiss(self.cone_matrices, True)
 
     @cached_property
     def cone_inverses(self):
         """Inverse of each cone matrix; raises NotUnimodular unless the fan is smooth."""
-        for cone, (det, _) in zip(self.max_cones, self.cone_adjugates):
+        dets, adjs = self.cone_adjugates
+        for cone, det in zip(self.max_cones, dets.tolist()):
             if det not in (1, -1):
                 raise NotUnimodular(f"cone {cone} has determinant {det}")
-        return tuple(det * adj for det, adj in self.cone_adjugates)
+        return tuple((dets[:, None, None] * adjs).astype(object))
 
     @cached_property
     def face_complex(self):
@@ -317,32 +318,34 @@ def maximal_cones_from_primitive_pairs(rays, forbidden_pairs):
 
     For a fan whose primitive collections are all pairs, the faces are the
     index sets containing no forbidden pair, and the maximal cones are the
-    size-n ones.  They are found by a backtracking walk in increasing ray
-    order, which keeps a bitmask of the rays that conflict with the set so
-    far, so they come out in lexicographic order.  Whether they form a
-    smooth complete fan is left to `validate`.
+    size-n ones.  They grow level by level as sorted rows: each independent
+    k-set, kept with a boolean row of the rays it conflicts with, extends by
+    every larger ray it does not block that leaves enough larger rays to
+    reach size n.  Rows extend in order, so the cones come out in
+    lexicographic order.  Whether they form a smooth complete fan is left
+    to `validate`.
     """
     rays = [tuple(r) for r in rays]
     n, count = len(rays[0]), len(rays)
-    conflicts = [0] * count
+    conflicts = np.zeros((count, count), dtype=bool)
     for p in forbidden_pairs:
         p = tuple(p)
         if len(p) != 2:
             raise ValueError(f"forbidden set {p} must be a pair")
         if not all(0 <= i < count for i in p):
             raise ValueError(f"forbidden pair {p} references a ray out of range")
-        conflicts[p[0]] |= 1 << p[1]
-        conflicts[p[1]] |= 1 << p[0]
-
-    def extend(chosen, blocked):
-        if len(chosen) == n:
-            yield tuple(chosen)
-            return
-        for i in range((chosen[-1] + 1) if chosen else 0, count - n + len(chosen) + 1):
-            if not (blocked | conflicts[i]) >> i & 1:
-                yield from extend(chosen + [i], blocked | conflicts[i])
-
-    return tuple(extend([], 0))
+        conflicts[p[0], p[1]] = conflicts[p[1], p[0]] = True
+    index = np.arange(count)
+    free = ~np.diagonal(conflicts)
+    sets = np.zeros((1, 0), dtype=np.intp)
+    blocked = np.zeros((1, count), dtype=bool)
+    for k in range(n):
+        last = sets[:, -1:] if k else np.full((1, 1), -1)
+        ok = ~blocked & free & (index > last) & (index < count - n + k + 1)
+        rows, new = np.nonzero(ok)
+        sets = np.column_stack([sets[rows], new])
+        blocked = blocked[rows] | conflicts[new]
+    return tuple(map(tuple, sets.tolist()))
 
 
 def fan_product(f1, f2):
@@ -390,23 +393,47 @@ def build_named(spec):
 # validation
 
 
-def _facet_incidence(fan):
-    """Map facet (sorted (n-1)-subset of a maximal cone) -> adjacent cone indices."""
-    inc = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for facet in itertools.combinations(cone, fan.dim - 1):
-            inc.setdefault(facet, []).append(ci)
-    return inc
+@dataclass(frozen=True)
+class _FacetTable:
+    """The facets (dim - 1 rays) of all maximal cones, sorted into runs.
 
-
-def _side(fan, facet, ci, dets):
-    """Side of the facet that cone ci lies on: whether det(facet rays, u) > 0.
-
-    Moving u, the cone's ray off the facet, from its sorted place in the
-    cone's matrix to the last row takes one row swap per facet ray above u.
+    Unsorted row r is cone r // dim without its column dim - 1 - r % dim,
+    so each cone's facets come in `itertools.combinations` order and
+    r % dim rays of the facet are larger than the completing ray.  The rows
+    are sorted lexicographically and stably: a run of equal facets lists
+    its cones in the order they first meet it.
     """
-    (u,) = set(fan.max_cones[ci]) - set(facet)
-    return (dets[ci] > 0) ^ (sum(j > u for j in facet) % 2)
+    facets: np.ndarray      # (rows, dim - 1) facet ray indices, sorted
+    order: np.ndarray       # unsorted row index of each sorted row
+    completing: np.ndarray  # the cone's ray off the facet, per sorted row
+    starts: np.ndarray      # first sorted row of each run
+    sizes: np.ndarray       # number of cones in each run
+
+
+@cache
+def _kept_columns(n):
+    """(n, n - 1) table: row t lists the columns of a cone without column n - 1 - t."""
+    return np.array([[j for j in range(n) if j != n - 1 - t] for t in range(n)],
+                    dtype=np.intp).reshape(n, n - 1)
+
+
+def _facet_table(fan):
+    key = "facet_table"
+    if key in fan._cache:
+        return fan._cache[key]
+    n = fan.dim
+    cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, n)
+    facets = cones[:, _kept_columns(n)].reshape(len(cones) * n, n - 1)
+    # np.lexsort takes the last key as primary and needs at least one key
+    order = np.lexsort(facets.T[::-1]) if n > 1 else np.arange(len(facets))
+    facets = facets[order]
+    new = np.ones(len(facets), dtype=bool)
+    new[1:] = np.any(facets[1:] != facets[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    table = _FacetTable(facets, order, cones[:, ::-1].reshape(-1)[order], starts,
+                        np.diff(np.append(starts, len(facets))))
+    fan._cache[key] = table
+    return table
 
 
 def _cones_containing(fan, point):
@@ -415,9 +442,16 @@ def _cones_containing(fan, point):
     The point's coordinates on a cone's rays are (point @ adj) / det, so
     coordinate i has the sign of (point @ adj)[i] * det; (point @ adj)[i]
     is Cramer's det(cone, row i replaced by the point).  Every cone
-    determinant must be nonzero.
+    determinant must be nonzero.  The products run in int64 when
+    dim * max|point| * max|adj| < 2^63, and in Python ints otherwise.
     """
-    return sum(all(x * det >= 0 for x in point @ adj) for det, adj in fan.cone_adjugates)
+    dets, adjs = fan.cone_adjugates
+    point = np.array([int(x) for x in point], dtype=object)
+    bound = fan.dim * int(np.abs(point).max()) * int(np.abs(adjs).max(initial=0))
+    dtype = np.int64 if adjs.dtype != object and bound < 2 ** 63 else object
+    coords = point.astype(dtype) @ adjs.astype(dtype)
+    inside = np.where((dets > 0).astype(bool)[:, None], coords >= 0, coords <= 0)
+    return int(inside.astype(bool).all(axis=1).sum())
 
 
 def validate(fan):
@@ -431,9 +465,12 @@ def validate(fan):
     3. those two cones lie on opposite sides of the wall;
     4. the sum of cone 0's rays lies in exactly one closed maximal cone.
 
-    All four read the cones' determinants and adjugates, which one batched
+    1 and 4 read the cones' determinants and adjugates, which one batched
     exact elimination of all cone matrices computes and `Fan.cone_adjugates`
-    caches.  A fan without maximal cones is not complete.
+    caches; 2 and 3 read the sorted facet table.  The side of cone C at a
+    wall is whether det(wall rays, u) > 0, u the ray of C off the wall:
+    moving u from its sorted place in C to the last row takes one row swap
+    per wall ray above u.  A fan without maximal cones is not complete.
 
     By 1-3 a path that leaves a cone through a facet enters exactly one
     other cone, so all points off the codimension-2 faces lie in the same
@@ -446,7 +483,8 @@ def validate(fan):
     if key in fan._cache:
         return fan._cache[key]
     messages = []
-    dets = [det for det, _ in fan.cone_adjugates]
+    det_array = fan.cone_adjugates[0]
+    dets = det_array.tolist()
     bad = [(fan.max_cones[i], d) for i, d in enumerate(dets) if d not in (1, -1)]
     smooth = not bad
     for cone, d in bad[:5]:
@@ -457,17 +495,22 @@ def validate(fan):
         messages.append("the fan has no maximal cones")
     elif not complete:
         messages.append(f"cone {fan.max_cones[dets.index(0)]} is not full-dimensional")
-    incidence = _facet_incidence(fan)
-    for facet, adj in incidence.items():
-        if len(adj) != 2:
-            complete = False
-            messages.append(f"wall candidate {facet} lies in {len(adj)} maximal cones")
+    table = _facet_table(fan)
+    first_seen = table.order[table.starts]
+    odd = table.sizes != 2
+    for run in np.flatnonzero(odd)[np.argsort(first_seen[odd])]:
+        complete = False
+        facet = tuple(table.facets[table.starts[run]].tolist())
+        messages.append(f"wall candidate {facet} lies in {table.sizes[run]} maximal cones")
     if complete:
-        for facet, (a, b) in incidence.items():
-            if _side(fan, facet, a, dets) == _side(fan, facet, b, dets):
-                complete = False
-                messages.append(f"the two cones at wall {facet} lie on the same side of it")
-                break
+        n = fan.dim
+        side = (det_array > 0).astype(bool)[table.order // n] ^ (table.order % n % 2 == 1)
+        same = side[table.starts] == side[table.starts + 1]
+        if same.any():
+            complete = False
+            run = np.flatnonzero(same)[np.argmin(first_seen[same])]
+            facet = tuple(table.facets[table.starts[run]].tolist())
+            messages.append(f"the two cones at wall {facet} lie on the same side of it")
     if complete:
         point = sum(fan.ray_matrix[j] for j in fan.max_cones[0])
         count = _cones_containing(fan, point)
@@ -484,6 +527,41 @@ def validate(fan):
 # walls, primitive collections, Poincare polynomial
 
 
+@dataclass(frozen=True)
+class _WallArrays:
+    """All walls as arrays, one row each, in the order of `walls(fan)`."""
+    rays: np.ndarray         # (walls, dim - 1)
+    plus_cone: np.ndarray
+    minus_cone: np.ndarray
+    u_plus: np.ndarray
+    u_minus: np.ndarray
+    plus_column: np.ndarray  # column of u_plus in the plus cone
+    columns: np.ndarray      # (walls, dim - 1) columns of the wall's rays there
+
+
+def _wall_arrays(fan):
+    """The walls from the facet table; raises NotComplete at the first
+    facet, in sorted order, that does not lie in exactly two cones."""
+    key = "wall_arrays"
+    if key in fan._cache:
+        return fan._cache[key]
+    table = _facet_table(fan)
+    odd = np.flatnonzero(table.sizes != 2)
+    if len(odd):
+        run = odd[0]
+        facet = tuple(table.facets[table.starts[run]].tolist())
+        raise NotComplete(f"wall candidate {facet} lies in {table.sizes[run]} maximal cones")
+    n, first, second = fan.dim, table.starts, table.starts + 1
+    swap = table.completing[first] > table.completing[second]
+    plus, minus = np.where(swap, second, first), np.where(swap, first, second)
+    cone, drop = np.divmod(table.order, n)
+    arrays = _WallArrays(table.facets[first], cone[plus], cone[minus],
+                         table.completing[plus], table.completing[minus],
+                         n - 1 - drop[plus], _kept_columns(n)[drop[plus]])
+    fan._cache[key] = arrays
+    return arrays
+
+
 def walls(fan):
     """All codimension-1 cones with their two adjacent maximal cones.
 
@@ -492,19 +570,10 @@ def walls(fan):
     key = "walls"
     if key in fan._cache:
         return fan._cache[key]
-    result = []
-    for facet, adj in sorted(_facet_incidence(fan).items()):
-        if len(adj) != 2:
-            raise NotComplete(
-                f"wall candidate {facet} lies in {len(adj)} maximal cones")
-        extras = []
-        for ci in adj:
-            (extra,) = set(fan.max_cones[ci]) - set(facet)
-            extras.append((extra, ci))
-        extras.sort()
-        (u_plus, plus_cone), (u_minus, minus_cone) = extras
-        result.append(Wall(facet, plus_cone, minus_cone, u_plus, u_minus))
-    result = tuple(result)
+    a = _wall_arrays(fan)
+    result = tuple(Wall(tuple(rays), *rest) for rays, *rest in zip(
+        a.rays.tolist(), a.plus_cone.tolist(), a.minus_cone.tolist(),
+        a.u_plus.tolist(), a.u_minus.tolist()))
     fan._cache[key] = result
     return result
 

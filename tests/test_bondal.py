@@ -73,6 +73,16 @@ class TestWallRelation:
         with pytest.raises(BasisDegenerate, match="does not close"):
             wall_relation(fan, wall)
 
+    def test_u_plus_coordinate_must_be_minus_one(self):
+        # a negated cached inverse puts u_plus at +1
+        fan = projective_space(2)
+        wall = walls(fan)[0]
+        inverses = list(fan.cone_inverses)
+        inverses[wall.plus_cone] = -inverses[wall.plus_cone]
+        fan.cone_inverses = tuple(inverses)
+        with pytest.raises(BasisDegenerate, match="u_plus coordinate is 1, expected -1"):
+            wall_relation(fan, wall)
+
     def test_singular_fan_is_degenerate(self):
         # P(1,1,2) has no unimodular cone inverses
         fan = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])

@@ -1,9 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+from toricsplit import cli
 from toricsplit.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -395,3 +402,46 @@ class TestInterface:
         status, _, err = run(capsys, "variety", "info", "P:1", "--threads", "4")
         assert status == 2
         assert "--threads" in err
+
+
+class TestParserReuse:
+    COMMANDS = (("variety", "info", "Xd:3"),
+                ("bondal", "check", "--variety", "F:2", "--format", "table"))
+
+    def outputs(self, capsys, fresh):
+        results = []
+        for argv in (("no-such-command",),) + self.COMMANDS:
+            if fresh:
+                cli._build_parser.cache_clear()
+            results.append(run(capsys, *argv))
+        return results
+
+    def test_same_bytes_as_fresh_parsers(self, capsys):
+        # a usage error, a good command and another subcommand through one
+        # parser print what fresh parsers print
+        reused = self.outputs(capsys, fresh=False)
+        fresh = self.outputs(capsys, fresh=True)
+        assert reused[0][0] == 2
+        strip = [(status, out, err.split("wall-clock:")[0]) for status, out, err in reused]
+        assert strip == [(status, out, err.split("wall-clock:")[0])
+                         for status, out, err in fresh]
+        assert cli._build_parser() is cli._build_parser()
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closing_early(self, unbuffered):
+        # like `toricsplit frobenius split ... | head -2`: the reader is gone
+        # before the report is written
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "toricsplit.cli", "frobenius", "split",
+             "--variety", "Xd:3", "--p", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
