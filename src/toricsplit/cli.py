@@ -225,6 +225,8 @@ def _cmd_frobenius(args):
         raise InputError(f"--p must be >= 1, got {args.p}")
     if not 0 <= args.base_cone < len(fan.max_cones):
         raise InputError(f"--base-cone must be in [0, {len(fan.max_cones)})")
+    if args.action == "verify" and any(div):
+        raise InputError("frobenius verify checks the splitting of O: use the zero divisor")
     check = args.action == "split" and not args.no_stabilization_check and args.p >= 2
     try:
         # the larger split at p+2 goes first, so that the summand limit

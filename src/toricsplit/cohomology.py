@@ -11,8 +11,8 @@ independent rays, so every contributing degree has |m|_inf at most the floor
 B(D) of the largest vertex sup-norm.  The box [-B(D), B(D)]^n is scanned
 once in fixed blocks, counting degrees per (mask class, sup-norm) pair; the
 reported box replays the earlier doubling rule on those counts.  A scan of
-more than 2^30 degrees is refused with ValueError before it starts.  All
-ranks are exact.
+more than 2^30 degrees is refused with ValueError before it starts.  Faces
+are vertex masks; every boundary rank comes from one exact sparse elimination.
 
 The masks are reduced block by block.  Take the components of the graph
 whose edges are the ray pairs in no common cone.  If #maximal cones equals
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, divisor_class
-from .fan import FaceComplex, Fan, _poly_mul, fan_product
+from .fan import Fan, _faces, _mask, _poly_mul, fan_product
 
 _INT64_SAFE = 2 ** 31
 _BLOCK = 2 ** 16
@@ -67,32 +67,47 @@ class NotExceptionalMember(RuntimeError):
 # reduced simplicial cohomology
 
 
-def _reduced_dims(faces_by_size):
-    """Reduced rational cohomology dims, index k -> dim of degree k-1.
+def _boundary_pivots(faces):
+    """Pivots of the boundary map (face -> sum of (-1)^i * face without its
+    i-th vertex) on increasing face masks; their count is its rank over Q.
+    Fraction-free: a sparse row {face: coefficient} whose leading (largest)
+    face c has a pivot row p becomes (p[c] * row - row[c] * p) / gcd."""
+    pivots = {}
+    for face in faces:
+        row, sign, rest = {}, 1, face
+        while rest:
+            bit = rest & -rest
+            row[face ^ bit] = sign
+            sign, rest = -sign, rest ^ bit
+        while row:
+            col = max(row)
+            pivot = pivots.setdefault(col, row)
+            if pivot is row:
+                break
+            a, b = pivot[col], row[col]
+            row = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                row[c] = row.get(c, 0) - b * v
+            g = math.gcd(*row.values())
+            row = {c: v // g for c, v in row.items() if v}
+    return pivots.keys()
 
-    faces_by_size[k] lists the size-k faces as sorted tuples; the empty face
-    is always present, so the empty complex has a single unit in degree -1.
+
+def _reduced_dims(facets, keep):
+    """Reduced rational cohomology dims of the full subcomplex on the vertex
+    mask `keep`, index k -> dim of degree k-1, up to the largest face size.
+    `facets` are vertex masks and the faces those of `fan._faces`, the empty
+    face included, so the empty complex gives (1,).  The maps are reduced
+    from the top size down with clearing: a face's own faces have smaller
+    masks, so the row of a pivot of one map reduces to zero in the next.
     """
-    top = len(faces_by_size) - 1
-    ranks = []
-    for s in range(top + 1):
-        rows = faces_by_size[s + 1] if s + 1 <= top else ()
-        cols = faces_by_size[s]
-        if not rows or not cols:
-            ranks.append(0)
-            continue
-        col_index = {f: i for i, f in enumerate(cols)}
-        mat = [[0] * len(cols) for _ in rows]
-        for ri, face in enumerate(rows):
-            for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1:]
-                mat[ri][col_index[sub]] = (-1) ** pos
-        ranks.append(lattice.rank(mat))
-    dims = []
-    for s in range(top + 1):
-        below = ranks[s - 1] if s >= 1 else 0
-        dims.append(len(faces_by_size[s]) - ranks[s] - below)
-    return tuple(dims)
+    faces = sorted(_faces(facets, keep), key=lambda f: (f.bit_count(), f))
+    by_size = [list(size) for _, size in itertools.groupby(faces, int.bit_count)]
+    ranks, cleared = [0] * (len(by_size) + 1), ()
+    for k in range(len(by_size) - 1, 0, -1):
+        cleared = _boundary_pivots(f for f in by_size[k] if f not in cleared)
+        ranks[k] = len(cleared)
+    return tuple(len(size) - ranks[k] - ranks[k + 1] for k, size in enumerate(by_size))
 
 
 def reduced_cohomology(complex_, vertices=None):
@@ -101,25 +116,13 @@ def reduced_cohomology(complex_, vertices=None):
     With vertices=None the complex itself is used; otherwise the full
     subcomplex on the given vertex subset.
     """
-    if vertices is None:
-        return _reduced_dims(complex_.faces_by_size)
-    return _reduced_dims(_restricted_faces_by_size(complex_, frozenset(vertices)))
+    return _reduced_dims(complex_._facet_masks, -1 if vertices is None else _mask(vertices))
 
 
-def _restricted_faces_by_size(complex_, keep):
-    top = max((len(f) for f in complex_.faces if f <= keep), default=0)
-    buckets = [[] for _ in range(top + 1)]
-    for f in complex_.faces:
-        if f <= keep:
-            buckets[len(f)].append(tuple(sorted(f)))
-    return tuple(tuple(sorted(b)) for b in buckets)
-
-
-def _subset_dims(complex_, mask, top):
+def _subset_dims(facets, mask, top):
     """Padded dims (length top+1, index i -> degree i-1) for a vertex mask."""
-    keep = frozenset(j for j in range(complex_.vertex_count) if mask >> j & 1)
-    dims = _reduced_dims(_restricted_faces_by_size(complex_, keep))
-    return tuple(dims[i] if i < len(dims) else 0 for i in range(top + 1))
+    dims = _reduced_dims(facets, mask)
+    return dims + (0,) * (top + 1 - len(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +229,15 @@ def _coordinate_factors(fan):
 
 
 class _Block:
-    """One join block: its bit range in a scan mask, its own face complex,
-    and a lookup from sub-masks to cohomology classes that grows with the
+    """One join block: its bit range in a scan mask, its facets as vertex
+    masks, and a lookup from sub-masks to cohomology classes that grows with the
     sub-masks seen."""
 
     def __init__(self, offset, width, facets):
         self.offset = offset
         self.low = np.int64((1 << width) - 1)
         self.top = max(map(len, facets))
-        self.complex_ = FaceComplex.from_facets(width, facets)
+        self.facets = tuple(map(_mask, facets))
         self.keys = np.empty(0, dtype=np.int64)    # sorted sub-masks seen
         self.ids = np.empty(0, dtype=np.int64)     # their class ids
         self.classes = {}                          # padded dims -> class id
@@ -254,7 +257,7 @@ class _Block:
             new = new[np.diff(new, prepend=-1) != 0]
             ids = []
             for m in new.tolist():
-                dims = _subset_dims(self.complex_, m, self.top)
+                dims = _subset_dims(self.facets, m, self.top)
                 if dims not in self.classes:
                     self.classes[dims] = len(self.polys)
                     self.polys.append(dims)

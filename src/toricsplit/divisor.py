@@ -39,10 +39,16 @@ def principal_divisor(fan, m):
 
 
 def _cartier(fan, a):
-    """Row sigma of the (#cones, dim) object array is m_sigma for coefficients a."""
+    """Rows m_sigma = (det * adj) @ -a_sigma over the stacked cone adjugates, in int64
+    when dim^2 max|inverse| max|a_j| max|v_j|, which bounds <m_sigma, v_j>, is < 2^62."""
+    dets, adjs = fan.cone_adjugates
+    if (abs(dets) != 1).any():
+        fan.cone_inverses  # raises NotUnimodular
+    inverses = dets[:, None, None] * adjs
+    bound = fan.dim ** 2 * int(np.abs(inverses).max(initial=1)) * max(map(abs, a), default=0)
+    dtype = np.int64 if bound * int(np.abs(fan.ray_matrix).max()) < 2 ** 62 else object
     cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim)
-    inverses = np.array(fan.cone_inverses, dtype=object).reshape(-1, fan.dim, fan.dim)
-    return (inverses @ -np.array(a, dtype=object)[cones][:, :, None])[:, :, 0]
+    return (inverses.astype(dtype) @ -np.array(a, dtype=dtype)[cones][:, :, None])[:, :, 0]
 
 
 def cartier_data(fan, divisor):
@@ -106,11 +112,11 @@ def positivity(fan, divisor, mode):
     """
     if mode not in ("nef", "ample"):
         raise ValueError(f"mode must be 'nef' or 'ample', got {mode!r}")
-    a = np.array(_coeffs(fan, divisor), dtype=object)
-    values = _cartier(fan, a) @ fan.ray_matrix.T
-    bad = values <= -a if mode == "ample" else values < -a
-    cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim)
-    bad[np.arange(len(cones))[:, None], cones] = False
+    a = _coeffs(fan, divisor)
+    m = _cartier(fan, a)
+    values = m @ fan.ray_matrix.T.astype(m.dtype) + np.array(a, dtype=m.dtype)
+    bad = values <= 0 if mode == "ample" else values < 0
+    np.put_along_axis(bad, np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim), False, 1)
     hits = np.argwhere(bad)
     if len(hits):
         return PositivityReport(False, mode, tuple(hits[0].tolist()))
@@ -119,5 +125,4 @@ def positivity(fan, divisor, mode):
 
 def is_fano(fan):
     """Fano means the anticanonical divisor -K is ample."""
-    minus_k = tuple(1 for _ in fan.rays)
-    return positivity(fan, minus_k, "ample").ok
+    return positivity(fan, (1,) * len(fan.rays), "ample").ok

@@ -162,37 +162,56 @@ class ValidationReport:
         return self.smooth and self.complete and self.simplicial
 
 
+def _mask(vertices):
+    """The vertex mask of an index set: bit j set for each vertex j."""
+    mask = 0
+    for j in vertices:
+        mask |= 1 << j
+    return mask
+
+
+def _faces(facets, keep=-1):
+    """The set of faces inside the vertex mask `keep`, as vertex masks: the
+    submasks of `facet & keep` over the facet masks, the empty face included."""
+    faces = {0}
+    for top in sorted({f & keep for f in facets}, key=int.bit_count, reverse=True):
+        sub = 0 if top in faces else top  # if in, so are all its submasks
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & top
+    return faces
+
+
 class FaceComplex:
     """Abstract simplicial complex of a fan's cones, on ray indices.
 
-    Faces are stored as frozensets (the empty face included) and are closed
-    under subsets by construction.
+    Faces are vertex masks (bit j for vertex j); `_faces` builds the set of
+    the facets' submasks, the empty face included, on first use, and
+    `reduced_cohomology` ranks its boundary maps by sparse exact elimination.
     """
 
-    def __init__(self, vertex_count, faces, facets):
+    def __init__(self, vertex_count, facets):
         self.vertex_count = vertex_count
-        self.faces = frozenset(faces)
         self.facets = tuple(sorted(tuple(sorted(f)) for f in facets))
+        self._facet_masks = tuple(map(_mask, self.facets))
 
     @classmethod
     def from_facets(cls, vertex_count, facets):
-        faces = {frozenset()}
-        for facet in facets:
-            facet = tuple(facet)
-            for k in range(len(facet) + 1):
-                faces.update(frozenset(c) for c in itertools.combinations(facet, k))
-        return cls(vertex_count, faces, facets)
+        return cls(vertex_count, facets)
+
+    @cached_property
+    def _face_masks(self):
+        return _faces(self._facet_masks)
 
     def is_face(self, vertices):
-        return frozenset(vertices) in self.faces
+        return _mask(vertices) in self._face_masks
 
     @cached_property
     def faces_by_size(self):
         """faces_by_size[k] = sorted tuple of the size-k faces (as sorted tuples)."""
-        top = max((len(f) for f in self.faces), default=0)
-        buckets = [[] for _ in range(top + 1)]
-        for f in self.faces:
-            buckets[len(f)].append(tuple(sorted(f)))
+        buckets = [[] for _ in range(max(map(int.bit_count, self._face_masks)) + 1)]
+        for f in self._face_masks:
+            buckets[f.bit_count()].append(tuple(j for j in range(f.bit_length()) if f >> j & 1))
         return tuple(tuple(sorted(b)) for b in buckets)
 
 
@@ -588,14 +607,12 @@ def primitive_collections(fan):
     key = "primitive_collections"
     if key in fan._cache:
         return fan._cache[key]
-    complex_ = fan.face_complex
+    faces = fan.face_complex._face_masks
     found = []
-    nrays = len(fan.rays)
     for k in range(1, fan.dim + 2):
-        for combo in itertools.combinations(range(nrays), k):
-            if complex_.is_face(combo):
-                continue
-            if all(complex_.is_face(combo[:i] + combo[i + 1:]) for i in range(k)):
+        for combo in itertools.combinations(range(len(fan.rays)), k):
+            mask = _mask(combo)
+            if mask not in faces and all(mask ^ 1 << j in faces for j in combo):
                 found.append(combo)
     result = tuple(_relation_for(fan, combo) for combo in found)
     fan._cache[key] = result
@@ -603,23 +620,19 @@ def primitive_collections(fan):
 
 
 def _relation_for(fan, combo):
-    s = np.zeros(fan.dim, dtype=object)
-    for i in combo:
-        s = s + np.array(fan.rays[i], dtype=object)
+    """The relation of `combo`: its ray sum in the basis of the first maximal
+    cone that contains the sum, from one product over the cone inverses."""
+    s = fan.ray_matrix[list(combo)].sum(axis=0)
     if not s.any():
         return PrimitiveCollection(combo, (), ())
-    for ci, cone in enumerate(fan.max_cones):
-        lam = fan.cone_inverses[ci].T @ s
-        if all(x >= 0 for x in lam):
-            support = [(cone[t], int(lam[t])) for t in range(fan.dim) if lam[t] > 0]
-            support.sort()
-            return PrimitiveCollection(
-                combo,
-                tuple(j for j, _ in support),
-                tuple(c for _, c in support),
-            )
-    raise ConstructionFailed(
-        f"sum of primitive collection {combo} lies in no maximal cone; fan not complete")
+    lam = np.stack(fan.cone_inverses).transpose(0, 2, 1) @ s
+    inside = np.flatnonzero((lam >= 0).astype(bool).all(axis=1))
+    if not len(inside):
+        raise ConstructionFailed(
+            f"sum of primitive collection {combo} lies in no maximal cone; fan not complete")
+    cone = fan.max_cones[inside[0]]
+    support = sorted((cone[t], c) for t, c in enumerate(lam[inside[0]].tolist()) if c > 0)
+    return PrimitiveCollection(combo, tuple(j for j, _ in support), tuple(c for _, c in support))
 
 
 @dataclass(frozen=True)

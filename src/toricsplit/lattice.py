@@ -273,28 +273,3 @@ def solve_integral(a, b):
             return None
     return v @ y
 
-
-def rank(m):
-    """Exact rank over Q via fraction-free row elimination."""
-    a = as_matrix(m).copy()
-    rows, cols = a.shape
-    rk = 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, rows) if a[r, col] != 0), None)
-        if piv is None:
-            continue
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        for r in range(row + 1, rows):
-            if a[r, col] != 0:
-                a[r] = a[r] * a[row, col] - a[row] * a[r, col]
-                # keep entries small
-                g = math.gcd(*a[r])
-                if g > 1:
-                    a[r] = a[r] // g
-        rk += 1
-        row += 1
-        if row == rows:
-            break
-    return rk

@@ -231,6 +231,17 @@ class TestBadInput:
         assert_input_error(capsys, "frobenius", "verify", "--variety", "P:2",
                            "--p", "5000")
 
+    def test_verify_nonzero_divisor(self, capsys, tmp_path):
+        # the invariants are stated for O, so a nonzero divisor is refused
+        # before any split; a zero one is verified
+        div = self.write(tmp_path, "d.json", {"coeffs": [1, 0, 0]})
+        assert_input_error(capsys, "frobenius", "verify", "--variety", "P:2",
+                           "--p", "2", "--divisor", div)
+        div = self.write(tmp_path, "d.json", {"coeffs": [0, 0, 0]})
+        status, _, _ = run(capsys, "frobenius", "verify", "--variety", "P:2",
+                           "--p", "2", "--divisor", div)
+        assert status == 0
+
     def test_empty_collection(self, capsys, tmp_path):
         coll = self.write(tmp_path, "c.json", {"bundles": []})
         for action in ("order", "verify"):

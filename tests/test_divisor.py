@@ -20,6 +20,7 @@ from toricsplit.fan import (
     hirzebruch,
     projective_space,
 )
+from toricsplit.lattice import NotUnimodular
 
 
 def random_divisor(rng, fan, span=3):
@@ -182,6 +183,27 @@ class TestPositivity:
                 report = positivity(fan, d, mode)
                 assert report.witness == self.first_violation(fan, d, mode)
                 assert report.ok == (report.witness is None)
+
+    @pytest.mark.parametrize("scale", [2 ** 20, 2 ** 61, 2 ** 70], ids=["2^20", "2^61", "2^70"])
+    def test_large_coefficients_stay_exact(self, scale):
+        # positivity is invariant under positive scaling; the larger scales
+        # leave the int64 bound and run in Python ints
+        rng = random.Random(f"scale/{scale}")
+        for spec in ["P:2", "F:2", "Xd:3"]:
+            fan = build_named(spec)
+            for _ in range(5):
+                d = random_divisor(rng, fan)
+                big = tuple(scale * x for x in d)
+                for mode in ("nef", "ample"):
+                    assert positivity(fan, big, mode) == positivity(fan, d, mode)
+                assert cartier_data(fan, big) == tuple(
+                    tuple(scale * x for x in m) for m in cartier_data(fan, d))
+
+    def test_singular_fan_is_refused(self):
+        # P(1,1,2) has a cone of determinant 2
+        fan = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(NotUnimodular, match="determinant"):
+            positivity(fan, (1, 1, 1), "ample")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from cohomology_oracle import oracle_cohomology
 from test_fan_properties import ONCE, blow_up, cycle_fan
 from toricsplit import cohomology
 from toricsplit.cohomology import line_bundle_cohomology
-from toricsplit.fan import build_named
+from toricsplit.fan import _mask, build_named
 
 BLOCKS = {
     "Xd:3": [2, 6],
@@ -37,7 +37,7 @@ def factorised_dims(fan, subsets):
 
 def whole_dims(fan, subsets):
     """Padded dims of each ray subset on the whole face complex."""
-    return [cohomology._subset_dims(fan.face_complex, sum(1 << j for j in s), fan.dim)
+    return [cohomology._subset_dims(fan.face_complex._facet_masks, _mask(s), fan.dim)
             for s in subsets]
 
 
@@ -71,7 +71,7 @@ def test_product_of_projective_planes_is_one_block():
     fan = build_named("P:2*P:2")
     lookup = cohomology._join_lookup(fan)
     assert len(lookup.blocks) == 1
-    assert lookup.blocks[0].complex_.facets == fan.max_cones
+    assert lookup.blocks[0].facets == tuple(map(_mask, fan.max_cones))
     table = line_bundle_cohomology(fan, (1,) * 6)
     assert table.dims == (100, 0, 0, 0, 0)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boundary_oracle import rank
 from toricsplit import lattice
 from toricsplit.lattice import (
     NotSquare,
@@ -14,7 +15,6 @@ from toricsplit.lattice import (
     as_matrix,
     determinant,
     identity,
-    rank,
     smith_normal_form,
     solve_integral,
     unimodular_inverse,
