@@ -47,7 +47,7 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, divisor_class
-from .fan import Fan, _faces, _mask, _poly_mul, fan_product
+from .fan import Fan, _faces, _mask, _per_fan, _poly_mul, fan_product
 
 _INT64_SAFE = 2 ** 31
 _BLOCK = 2 ** 16
@@ -188,9 +188,10 @@ def _join_blocks(fan):
     return blocks, facets
 
 
+@_per_fan
 def _coordinate_factors(fan):
-    """Cached per fan: [(factor fan, its ray indices)] when the fan is the
-    product of fans on disjoint blocks of coordinates, else None.
+    """[(factor fan, its ray indices)] when the fan is the product of fans
+    on disjoint blocks of coordinates, else None.
 
     The blocks are the components of the graph on the coordinates in which
     two coordinates are joined when some ray is nonzero in both, so every
@@ -201,9 +202,6 @@ def _coordinate_factors(fan):
     restrictions: then every choice of one restriction per block is a cone,
     as in `_join_blocks`.  Equal factors share one fan, and so one cache.
     """
-    key = ("cohomology", "factors")
-    if key in fan._cache:
-        return fan._cache[key]
     support = np.array([[x != 0 for x in r] for r in fan.rays], dtype=np.int64)
     coordinates = _components(support.T @ support > 0)
     owner = np.empty(fan.dim, dtype=np.int64)
@@ -224,7 +222,6 @@ def _coordinate_factors(fan):
             if factor is None:
                 factor = shared[rays, tuple(fs)] = Fan(len(block), rays, fs)
             factors.append((factor, group))
-    fan._cache[key] = factors
     return factors
 
 
@@ -319,12 +316,7 @@ class _JoinLookup:
         return hit
 
 
-def _join_lookup(fan):
-    key = ("cohomology", "join")
-    hit = fan._cache.get(key)
-    if hit is None:
-        hit = fan._cache[key] = _JoinLookup(fan)
-    return hit
+_join_lookup = _per_fan(_JoinLookup)
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +337,14 @@ class CohomologyTable:
         return all(h == 0 for h in self.dims[1:])
 
 
+@_per_fan
 def _scan_constants(fan):
-    """Cached per fan: (rays as int64 rows, max |v|_1, max |v|_inf)."""
-    key = ("cohomology", "scan")
-    hit = fan._cache.get(key)
-    if hit is not None:
-        return hit
+    """(rays as int64 rows, max |v|_1, max |v|_inf)."""
     # |<m, v_j>| over the box [-R, R]^n is at most R * max_j |v_j|_1
     ray_l1 = max(sum(abs(x) for x in r) for r in fan.rays)
     if ray_l1 >= 2 ** 62:
         raise ValueError("ray generators leave the int64 scan range")
-    hit = (np.array(fan.rays, dtype=np.int64),
-           ray_l1,
-           max(abs(x) for r in fan.rays for x in r))
-    fan._cache[key] = hit
-    return hit
+    return np.array(fan.rays, dtype=np.int64), ray_l1, max(abs(x) for r in fan.rays for x in r)
 
 
 def _extension_blocks(subsets, count):
@@ -384,9 +369,10 @@ def _int64_if_fits(a):
         return a
 
 
+@_per_fan
 def _vertex_data(fan):
-    """Cached per fan: (J, det B_J, adj B_J) for every independent n-subset J,
-    in lexicographic order.
+    """(J, det B_J, adj B_J) for every independent n-subset J, in
+    lexicographic order.
 
     B_J has the rays of J as rows, and B_J @ adj_J == det_J * I exactly.
     The independent sets grow level by level: each independent k-subset is
@@ -395,10 +381,6 @@ def _vertex_data(fan):
     Candidates go in blocks of about _SUBSET_BLOCK, so memory stays bounded
     however many there are.  All eliminations are `lattice._bareiss`.
     """
-    key = ("cohomology", "vertices")
-    hit = fan._cache.get(key)
-    if hit is not None:
-        return hit
     count = len(fan.rays)
     rays = _int64_if_fits(fan.ray_matrix)
     gram = _int64_if_fits(fan.ray_matrix @ fan.ray_matrix.T)
@@ -414,9 +396,7 @@ def _vertex_data(fan):
         dets, _ = lattice._bareiss(rays[subsets], False)
         subsets = subsets[dets != 0]
         parts.append((subsets, *lattice._bareiss(rays[subsets], True)))
-    hit = tuple(np.concatenate(column) for column in zip(*parts))
-    fan._cache[key] = hit
-    return hit
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _degree_bound(fan, a):
@@ -473,21 +453,13 @@ def _scan(fan, a, radius):
     return hs, contributing
 
 
-def _cumulative_scan(fan, a, box):
+@_per_fan
+def _factor_scan(fan, a, box):
     """Per sup-norm s up to the scanned radius (B(D), or `box`): h^0..h^n
     and the number of contributing degrees over [-s, s]^n, as lists of
     Python ints."""
     hs, contributing = _scan(fan, a, _degree_bound(fan, a) if box is None else box)
     return np.cumsum(hs, axis=0).tolist(), np.cumsum(contributing).tolist()
-
-
-def _factor_scan(fan, a, box):
-    """`_cumulative_scan` of a coordinate factor, cached in its own fan."""
-    key = ("cohomology", "factor", a, box)
-    hit = fan._cache.get(key)
-    if hit is None:
-        hit = fan._cache[key] = _cumulative_scan(fan, a, box)
-    return hit
 
 
 def line_bundle_cohomology(fan, divisor, box=None):
@@ -515,21 +487,21 @@ def line_bundle_cohomology(fan, divisor, box=None):
     a = _coeffs(fan, divisor)
     if box is not None and box < 0:
         raise ValueError(f"box radius must be >= 0, got {box}")
-    cached = fan._cache.get(("cohomology", a, box))
-    if cached is not None:
-        return cached
-    factors = _coordinate_factors(fan)
-    scanned = [fan] if factors is None else [f for f, _ in factors]
-    if max(len(f.rays) for f in scanned) > 62:
+    return _table(fan, a, box)
+
+
+@_per_fan
+def _table(fan, a, box):
+    """`line_bundle_cohomology` of the checked coefficients `a`; a fan that
+    is no coordinate product is its own single factor."""
+    factors = _coordinate_factors(fan) or [(fan, range(len(a)))]
+    if max(len(f.rays) for f, _ in factors) > 62:
         raise ValueError("bitmask fast path supports at most 62 rays")
     largest = max(map(abs, a), default=0)
     if largest >= _INT64_SAFE:
         raise ValueError("divisor coefficients must be below 2^31 in absolute "
                          "value for the int64 degree scan")
-    if factors is None:
-        sums = [_cumulative_scan(fan, a, box)]
-    else:
-        sums = [_factor_scan(f, tuple(a[j] for j in rays), box) for f, rays in factors]
+    sums = [_factor_scan(f, tuple(a[j] for j in rays), box) for f, rays in factors]
     if box is not None:
         radius = int(box)
     else:
@@ -544,13 +516,20 @@ def line_bundle_cohomology(fan, divisor, box=None):
     dims = [1]
     for hs, _ in sums:
         dims = _poly_mul(dims, hs[min(radius, len(hs) - 1)])
-    table = CohomologyTable(tuple(dims), radius)
-    fan._cache[("cohomology", a, box)] = table
-    return table
+    return CohomologyTable(tuple(dims), radius)
 
 
 def _difference(d1, d2):
     return tuple(x - y for x, y in zip(d1, d2))
+
+
+def _pair_tables(fan, bundles, box):
+    """(j, k, H^*(d_j - d_k), H^*(d_k - d_j)) for each pair j < k, in
+    `itertools.combinations` order.  The tables come through the public
+    `line_bundle_cohomology`, so perfbench's trace counts every one."""
+    for j, k in itertools.combinations(range(len(bundles)), 2):
+        yield (j, k, line_bundle_cohomology(fan, _difference(bundles[j], bundles[k]), box=box),
+               line_bundle_cohomology(fan, _difference(bundles[k], bundles[j]), box=box))
 
 
 def ext_table(fan, collection, box=None):
@@ -589,13 +568,9 @@ def is_strongly_exceptional(fan, collection, box=None):
     o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays), box=box)
     if o_table.dims[0] != 1 or not o_table.higher_vanish():
         violations.append(("structure-sheaf", None, None, o_table.dims))
-    for j, k in itertools.combinations(range(len(bundles)), 2):
-        backward = line_bundle_cohomology(fan, _difference(bundles[j], bundles[k]),
-                                          box=box)
+    for j, k, backward, forward in _pair_tables(fan, bundles, box):
         if any(backward.dims):
             violations.append(("backward", j, k, backward.dims))
-        forward = line_bundle_cohomology(fan, _difference(bundles[k], bundles[j]),
-                                         box=box)
         if not forward.higher_vanish():
             violations.append(("forward-higher", j, k, forward.dims))
     return ExceptionalityReport(not violations, tuple(violations))
@@ -634,11 +609,7 @@ def find_strong_order(fan, bundles, box=None):
     successors = [[] for _ in range(m)]
     indegree = [0] * m
     edges = set()
-    for j, k in itertools.combinations(range(m), 2):
-        t_jk = line_bundle_cohomology(fan, _difference(bundles[j], bundles[k]),
-                                      box=box)
-        t_kj = line_bundle_cohomology(fan, _difference(bundles[k], bundles[j]),
-                                      box=box)
+    for j, k, t_jk, t_kj in _pair_tables(fan, bundles, box):
         j_first = not any(t_jk.dims) and t_kj.higher_vanish()
         k_first = not any(t_kj.dims) and t_jk.higher_vanish()
         if not j_first and not k_first:

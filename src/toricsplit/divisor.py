@@ -8,10 +8,12 @@ but depend on the ray order; cross-run comparisons should go through
 linearly_equivalent.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fan import _per_fan
 from .lattice import as_vector, smith_normal_form, solve_integral
 
 
@@ -20,7 +22,10 @@ class TorsionDetected(RuntimeError):
 
 
 def _coeffs(fan, divisor):
-    d = tuple(int(x) for x in divisor)
+    try:
+        d = tuple(map(operator.index, divisor))
+    except TypeError:
+        raise ValueError(f"divisor coefficients must be integers, got {divisor!r}") from None
     if len(d) != len(fan.rays):
         raise ValueError(
             f"divisor has {len(d)} coefficients but the fan has {len(fan.rays)} rays")
@@ -60,10 +65,8 @@ def cartier_data(fan, divisor):
     return tuple(map(tuple, _cartier(fan, _coeffs(fan, divisor)).tolist()))
 
 
+@_per_fan
 def _pic_projection(fan):
-    key = "pic_projection"
-    if key in fan._cache:
-        return fan._cache[key]
     n = fan.dim
     u, s, _ = smith_normal_form(fan.ray_matrix)
     for i in range(n):
@@ -71,9 +74,7 @@ def _pic_projection(fan):
             raise TorsionDetected(
                 f"ray matrix has invariant factor {s[i, i]}; "
                 "the divisor class group is not free of rank #rays - dim")
-    proj = u[n:]
-    fan._cache[key] = proj
-    return proj
+    return u[n:]
 
 
 def picard_rank(fan):

@@ -12,7 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 
 import numpy as np
 
@@ -29,6 +29,21 @@ class ConstructionFailed(RuntimeError):
 
 class NotComplete(RuntimeError):
     """A wall candidate is not shared by exactly two maximal cones."""
+
+
+def _per_fan(fn):
+    """Memoise fn(fan, *args) in `fan._cache` under the key (fn, *args).
+
+    Every per-fan result is cached this way and nowhere else.  A call that
+    raises stores nothing, so it raises again on the next call.
+    """
+    @wraps(fn, updated=())
+    def cached(fan, *args):
+        key = (fn, *args)
+        if key not in fan._cache:
+            fan._cache[key] = fn(fan, *args)
+        return fan._cache[key]
+    return cached
 
 
 class Fan:
@@ -436,10 +451,8 @@ def _kept_columns(n):
                     dtype=np.intp).reshape(n, n - 1)
 
 
+@_per_fan
 def _facet_table(fan):
-    key = "facet_table"
-    if key in fan._cache:
-        return fan._cache[key]
     n = fan.dim
     cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, n)
     facets = cones[:, _kept_columns(n)].reshape(len(cones) * n, n - 1)
@@ -449,10 +462,8 @@ def _facet_table(fan):
     new = np.ones(len(facets), dtype=bool)
     new[1:] = np.any(facets[1:] != facets[:-1], axis=1)
     starts = np.flatnonzero(new)
-    table = _FacetTable(facets, order, cones[:, ::-1].reshape(-1)[order], starts,
-                        np.diff(np.append(starts, len(facets))))
-    fan._cache[key] = table
-    return table
+    return _FacetTable(facets, order, cones[:, ::-1].reshape(-1)[order], starts,
+                       np.diff(np.append(starts, len(facets))))
 
 
 def _cones_containing(fan, point):
@@ -473,6 +484,7 @@ def _cones_containing(fan, point):
     return int(inside.astype(bool).all(axis=1).sum())
 
 
+@_per_fan
 def validate(fan):
     """Check smoothness and completeness; simpliciality holds by representation.
 
@@ -498,9 +510,6 @@ def validate(fan):
     and no two cones overlap.  A multi-fan winding twice around the origin
     passes 1-3 and fails 4.  All four tests are exact.
     """
-    key = "validation"
-    if key in fan._cache:
-        return fan._cache[key]
     messages = []
     det_array = fan.cone_adjugates[0]
     dets = det_array.tolist()
@@ -537,9 +546,7 @@ def validate(fan):
             complete = False
             messages.append(f"point {tuple(int(x) for x in point)} of cone "
                             f"{fan.max_cones[0]} lies in {count} maximal cones")
-    report = ValidationReport(smooth, complete, True, tuple(messages))
-    fan._cache[key] = report
-    return report
+    return ValidationReport(smooth, complete, True, tuple(messages))
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +565,10 @@ class _WallArrays:
     columns: np.ndarray      # (walls, dim - 1) columns of the wall's rays there
 
 
+@_per_fan
 def _wall_arrays(fan):
     """The walls from the facet table; raises NotComplete at the first
     facet, in sorted order, that does not lie in exactly two cones."""
-    key = "wall_arrays"
-    if key in fan._cache:
-        return fan._cache[key]
     table = _facet_table(fan)
     odd = np.flatnonzero(table.sizes != 2)
     if len(odd):
@@ -574,49 +579,43 @@ def _wall_arrays(fan):
     swap = table.completing[first] > table.completing[second]
     plus, minus = np.where(swap, second, first), np.where(swap, first, second)
     cone, drop = np.divmod(table.order, n)
-    arrays = _WallArrays(table.facets[first], cone[plus], cone[minus],
-                         table.completing[plus], table.completing[minus],
-                         n - 1 - drop[plus], _kept_columns(n)[drop[plus]])
-    fan._cache[key] = arrays
-    return arrays
+    return _WallArrays(table.facets[first], cone[plus], cone[minus],
+                       table.completing[plus], table.completing[minus],
+                       n - 1 - drop[plus], _kept_columns(n)[drop[plus]])
 
 
+@_per_fan
 def walls(fan):
     """All codimension-1 cones with their two adjacent maximal cones.
 
     Sorted by ray index set; u_plus is the completing ray of smaller index.
     """
-    key = "walls"
-    if key in fan._cache:
-        return fan._cache[key]
     a = _wall_arrays(fan)
-    result = tuple(Wall(tuple(rays), *rest) for rays, *rest in zip(
+    return tuple(Wall(tuple(rays), *rest) for rays, *rest in zip(
         a.rays.tolist(), a.plus_cone.tolist(), a.minus_cone.tolist(),
         a.u_plus.tolist(), a.u_minus.tolist()))
-    fan._cache[key] = result
-    return result
 
 
+@_per_fan
 def primitive_collections(fan):
-    """All minimal non-faces, each with its primitive relation.
+    """All minimal non-faces, each with its primitive relation, by size and
+    then lexicographically.
 
-    Enumerates candidate sets by increasing cardinality up to dim + 1; for a
-    complete simplicial fan every non-face contains a minimal one of size at
-    most dim + 1.
+    Dropping its largest vertex from a minimal non-face leaves a face, so
+    every minimal non-face is a face f plus one vertex above all of f's.
+    The candidates f | 1 << v, v >= f.bit_length(), are kept when they are
+    no face and every one-vertex drop is.
     """
-    key = "primitive_collections"
-    if key in fan._cache:
-        return fan._cache[key]
     faces = fan.face_complex._face_masks
     found = []
-    for k in range(1, fan.dim + 2):
-        for combo in itertools.combinations(range(len(fan.rays)), k):
-            mask = _mask(combo)
-            if mask not in faces and all(mask ^ 1 << j in faces for j in combo):
-                found.append(combo)
-    result = tuple(_relation_for(fan, combo) for combo in found)
-    fan._cache[key] = result
-    return result
+    for face in faces:
+        for v in range(face.bit_length(), len(fan.rays)):
+            mask = face | 1 << v
+            if mask not in faces and all(mask ^ 1 << j in faces
+                                         for j in range(v) if face >> j & 1):
+                found.append(tuple(j for j in range(v + 1) if mask >> j & 1))
+    found.sort(key=lambda combo: (len(combo), combo))
+    return tuple(_relation_for(fan, combo) for combo in found)
 
 
 def _relation_for(fan, combo):

@@ -143,6 +143,13 @@ class TestLineBundles:
         with pytest.raises(ValueError, match="budget"):
             line_bundle_cohomology(projective_space(1), (0, 0), box=2 ** 29)
 
+    def test_fractional_coefficients_are_refused(self):
+        # int() truncated 0.5 to 0 and returned the table of O
+        fan = projective_space(2)
+        with pytest.raises(ValueError, match="must be integers"):
+            line_bundle_cohomology(fan, (0.5, 0, 0))
+        assert line_bundle_cohomology(fan, np.array([1, 0, 0])).dims == (3, 0, 0)
+
     def test_serre_duality_samples(self):
         rng = random.Random(101)
         for spec in ["P:1", "P:2", "dP:3"]:

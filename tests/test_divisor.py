@@ -20,6 +20,7 @@ from toricsplit.fan import (
     hirzebruch,
     projective_space,
 )
+from toricsplit.frobenius import thomsen_split
 from toricsplit.lattice import NotUnimodular
 
 
@@ -109,6 +110,14 @@ class TestDivisorClass:
                     d1, principal_divisor(fan, tuple(rng.randint(-2, 2)
                                                      for _ in range(fan.dim)))))
                 assert linearly_equivalent(fan, d1, shifted)
+
+    def test_fractional_coefficients_are_refused(self):
+        # int() truncated 1.9 to 1 and 0.7 to 0 without an error
+        fan = projective_space(2)
+        with pytest.raises(ValueError, match="must be integers"):
+            divisor_class(fan, (1.9, 0, 0))
+        with pytest.raises(ValueError, match="must be integers"):
+            thomsen_split(fan, (0.7, 0, 0), 2)
 
     def test_torsion_detected(self):
         # two primitive rays spanning an index-2 sublattice: not a complete

@@ -413,6 +413,28 @@ class TestPrimitiveCollections:
                 for i in range(len(pc.rays)):
                     assert complex_.is_face(pc.rays[:i] + pc.rays[i + 1:])
 
+    @pytest.mark.parametrize("spec", ["P:1", "P:2", "P:3", "dP:3", "F:2", "F:3", "Xd:3",
+                                      "Xd:5", "P:1*dP:3", "dP:3*dP:3", "P:2*P:2", "Xd:7"])
+    def test_matches_subset_scan(self, spec):
+        # the reference: every k-subset for k up to dim + 1, kept when it is
+        # no face and every one-vertex drop is
+        fan = build_named(spec)
+        faces = fan.face_complex._face_masks
+        expected = []
+        for k in range(1, fan.dim + 2):
+            for combo in itertools.combinations(range(len(fan.rays)), k):
+                mask = fan_module._mask(combo)
+                if mask not in faces and all(mask ^ 1 << j in faces for j in combo):
+                    expected.append(combo)
+        assert [pc.rays for pc in primitive_collections(fan)] == expected
+
+    @pytest.mark.parametrize("d", [5, 9])
+    def test_tower_collections_are_its_pairs(self, d):
+        # the tower's cones are the independent sets of its pair graph
+        fan = del_pezzo_bundle(d)
+        assert [pc.rays for pc in primitive_collections(fan)] == \
+            sorted(tower_primitive_pairs(d))
+
 
 class TestPoincare:
     def test_p1(self):
