@@ -9,10 +9,11 @@ infinitely many degrees with the same cohomology.  The closure of a bounded
 cell is a polytope whose vertices solve <m, v_j> = -a_j for n linearly
 independent rays, so every contributing degree has |m|_inf at most the floor
 B(D) of the largest vertex sup-norm.  The box [-B(D), B(D)]^n is scanned
-once in fixed blocks, counting degrees per (mask class, sup-norm) pair; the
-reported box replays the earlier doubling rule on those counts.  A scan of
-more than 2^30 degrees is refused with ValueError before it starts.  Faces
-are vertex masks; every boundary rank comes from one exact sparse elimination.
+once in fixed blocks, counting degrees per (sign mask, sup-norm) pair; the
+dims are the whole scan, and the reported box replays the earlier doubling
+rule on the contributing counts per sup-norm.  A scan of more than 2^30
+degrees is refused with ValueError before it starts.  Faces are vertex
+masks; every boundary rank comes from one exact sparse elimination.
 
 The masks are reduced block by block.  Take the components of the graph
 whose edges are the ray pairs in no common cone.  If #maximal cones equals
@@ -22,17 +23,19 @@ its restrictions, so the map to the product is injective, and onto by
 count): the face complex is the join of its blocks.  A full subcomplex of a
 join is the join of the blocks' full subcomplexes, and by Kunneth for joins
 its reduced cohomology dims, indexed by degree + 1, are the convolution of
-the blocks' dims.  Each block reduces only the sub-masks it has not seen
-before, on its own small complex; a fan that is no join is one block.
+the blocks' dims.  Both the dims of each block's sub-mask, reduced on the
+block's own small complex, and those of each whole mask are cached in the
+per-fan memo, so each is computed once per fan; a fan that is no join is
+one block.
 
 A fan that is the product of fans on disjoint blocks of coordinates (the
 components of the graph joining two coordinates when some ray is nonzero in
 both, accepted by the same cone count as the join blocks) is not scanned
 whole.  Each factor is scanned at its own B(D), or at the fixed box, and
-caches its cumulative dims and contributing counts per sup-norm.  The box
-[-s, s]^n is the product of the factors' boxes, so by Kunneth the product's
-dims at s are the convolution of the factors' and its contributing degrees
-number the product of theirs; its B(D) is the largest of the factors'.
+caches its dims and its cumulative contributing counts per sup-norm.  By
+Kunneth the product's dims are the convolution of the factors'; the box
+[-s, s]^n is the product of the factors' boxes, so its contributing degrees
+number the product of theirs, and its B(D) is the largest of the factors'.
 
 On top of that sit the (strongly) exceptional collection checks: Ext groups
 between line bundles are cohomology of coefficient differences.
@@ -165,10 +168,11 @@ def _restrictions(cones, blocks):
     return [sorted(seen) for seen in found]
 
 
+@_per_fan
 def _join_blocks(fan):
-    """(blocks, facets): a partition of the rays whose face complexes the
-    fan's face complex is the join of, with each block's distinct facets
-    `cone & block` in block-local indices.
+    """(blocks, facets): a partition of the rays, as vertex masks, whose
+    face complexes the fan's face complex is the join of, with each block's
+    sorted distinct facets `cone & block`.
 
     The candidate blocks are the components of the graph whose edges are the
     ray pairs in no common cone.  Each maximal cone is the union of its
@@ -181,10 +185,11 @@ def _join_blocks(fan):
     together = np.eye(count, dtype=bool)
     for cone in fan.max_cones:
         together[np.ix_(cone, cone)] = True
-    blocks = _components(~together)
-    facets = _restrictions(fan.max_cones, blocks)
-    if math.prod(map(len, facets)) != len(fan.max_cones):
-        return [list(range(count))], [list(fan.max_cones)]
+    blocks = [_mask(block) for block in _components(~together)]
+    cones = [_mask(cone) for cone in fan.max_cones]
+    facets = [tuple(sorted({c & block for c in cones})) for block in blocks]
+    if math.prod(map(len, facets)) != len(cones):
+        return [(1 << count) - 1], [tuple(sorted(cones))]
     return blocks, facets
 
 
@@ -225,98 +230,25 @@ def _coordinate_factors(fan):
     return factors
 
 
-class _Block:
-    """One join block: its bit range in a scan mask, its facets as vertex
-    masks, and a lookup from sub-masks to cohomology classes that grows with the
-    sub-masks seen."""
-
-    def __init__(self, offset, width, facets):
-        self.offset = offset
-        self.low = np.int64((1 << width) - 1)
-        self.top = max(map(len, facets))
-        self.facets = tuple(map(_mask, facets))
-        self.keys = np.empty(0, dtype=np.int64)    # sorted sub-masks seen
-        self.ids = np.empty(0, dtype=np.int64)     # their class ids
-        self.classes = {}                          # padded dims -> class id
-        self.polys = []                            # class id -> padded dims
-
-    def class_ids(self, masks):
-        """Class id of each mask's sub-mask on this block."""
-        sub = (masks >> self.offset) & self.low
-        pos = np.searchsorted(self.keys, sub)
-        seen = np.zeros(len(sub), dtype=bool)
-        inside = pos < len(self.keys)
-        seen[inside] = self.keys[pos[inside]] == sub[inside]
-        if not seen.all():
-            # sort and drop repeats by hand: np.unique without an inverse
-            # imports numpy.ma, about 1 MiB and 15 ms in every process
-            new = np.sort(sub[~seen])
-            new = new[np.diff(new, prepend=-1) != 0]
-            ids = []
-            for m in new.tolist():
-                dims = _subset_dims(self.facets, m, self.top)
-                if dims not in self.classes:
-                    self.classes[dims] = len(self.polys)
-                    self.polys.append(dims)
-                ids.append(self.classes[dims])
-            keys = np.concatenate([self.keys, new])
-            order = np.argsort(keys)
-            self.keys = keys[order]
-            self.ids = np.concatenate([self.ids, np.array(ids, dtype=np.int64)])[order]
-            pos = np.searchsorted(self.keys, sub)
-        return self.ids[pos]
+@_per_fan
+def _block_dims(fan, b, sub):
+    """Padded dims of join block b's full subcomplex on the vertex mask `sub`."""
+    facets = _join_blocks(fan)[1][b]
+    return _subset_dims(facets, sub, max(map(int.bit_count, facets)))
 
 
-class _JoinLookup:
-    """Per fan: reduced cohomology of full subcomplexes, factorised over the
-    join blocks of `_join_blocks`.
-
-    A scan mask numbers its bits block by block (`weights[j]` is ray j's
-    bit), so each block reads a contiguous sub-mask.  The dims of a whole
-    mask are the convolution of its blocks' padded dims in index
-    coordinates (index i = degree i-1), memoised per tuple of class ids.
-    """
-
-    def __init__(self, fan):
-        blocks, facets = _join_blocks(fan)
-        order = [j for block in blocks for j in block]
-        position = np.empty(len(order), dtype=np.int64)
-        position[order] = np.arange(len(order))
-        self.weights = np.int64(1) << position
-        offsets = itertools.accumulate(map(len, blocks), initial=0)
-        self.blocks = [_Block(off, len(block), f)
-                       for off, block, f in zip(offsets, blocks, facets)]
-        self.memo = {}
-
-    def keys(self, masks):
-        """(key per mask, class count per block): the blocks' class ids
-        mixed into one key, the first block's id varying fastest."""
-        key = np.zeros(len(masks), dtype=np.int64)
-        stride = 1
-        counts = []
-        for block in self.blocks:
-            key += block.class_ids(masks) * stride
-            counts.append(len(block.polys))
-            stride *= counts[-1]
-        return key, counts
-
-    def dims(self, key, counts):
-        """Padded dims of a mixed key from `keys`."""
-        ids = []
-        for c in counts:
-            key, rest = divmod(key, c)
-            ids.append(rest)
-        ids = tuple(ids)
-        hit = self.memo.get(ids)
-        if hit is None:
-            hit = np.ones(1, dtype=np.int64)
-            for block, i in zip(self.blocks, ids):
-                hit = np.convolve(hit, block.polys[i])
-            self.memo[ids] = hit
-        return hit
-
-
-_join_lookup = _per_fan(_JoinLookup)
+@_per_fan
+def _mask_dims(fan, mask):
+    """Padded dims (index i -> degree i-1) of the full subcomplex on the
+    vertex mask: the convolution of its join blocks' dims, so zero once one
+    block's are, as for most masks of a scan."""
+    dims = (1,)
+    for b, block in enumerate(_join_blocks(fan)[0]):
+        part = _block_dims(fan, b, mask & block)
+        if not any(part):
+            return (0,) * (fan.dim + 1)
+        dims = _poly_mul(dims, part)
+    return tuple(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +347,13 @@ def _degree_bound(fan, a):
 
 
 def _scan(fan, a, radius):
-    """Per sup-norm s <= R of the degrees in [-R, R]^n: h^0..h^n and the
-    number of contributing degrees, as arrays of R+1 rows.
+    """Over the degrees in [-R, R]^n: h^0..h^n, and the number of
+    contributing degrees of each sup-norm s <= R.
 
-    The box is walked in blocks of _BLOCK flat indices; each block mixes
-    its degrees' join-block class ids into one key and counts the degrees
-    per (key, sup-norm) pair with one bincount.
+    The box is walked in blocks of _BLOCK flat indices.  Each block takes
+    its distinct sign masks (bit j for ray j), counts its degrees per (mask,
+    sup-norm) pair with one bincount and reads each mask's dims from
+    `_mask_dims`.
     """
     n = fan.dim
     rmat, ray_l1, _ = _scan_constants(fan)
@@ -432,9 +365,9 @@ def _scan(fan, a, radius):
     if radius * ray_l1 >= _INT64_SAFE:
         raise ValueError(f"degree box of radius {radius} leaves the int64 "
                          "scan range")
-    lookup = _join_lookup(fan)
+    weights = np.int64(1) << np.arange(len(fan.rays), dtype=np.int64)
     avec = np.array(a, dtype=np.int64)
-    hs = np.zeros((radius + 1, n + 1), dtype=np.int64)
+    hs = np.zeros(n + 1, dtype=np.int64)
     contributing = np.zeros(radius + 1, dtype=np.int64)
     for start in range(0, total, _BLOCK):
         flat = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
@@ -442,42 +375,41 @@ def _scan(fan, a, radius):
         for k in range(n - 1, -1, -1):
             flat, digit = np.divmod(flat, side)
             pts[:, k] = digit - radius
-        key, classes = lookup.keys((pts @ rmat.T < -avec) @ lookup.weights)
-        counts = np.bincount(key * (radius + 1) + np.abs(pts).max(axis=1),
-                             minlength=math.prod(classes) * (radius + 1)
-                             ).reshape(-1, radius + 1)
-        live = np.flatnonzero(counts.any(axis=1))
-        dims = np.array([lookup.dims(int(k), classes) for k in live])
-        hs += counts[live].T @ dims
-        contributing += counts[live].T @ dims.any(axis=1)
+        masks, index = np.unique((pts @ rmat.T < -avec) @ weights, return_inverse=True)
+        counts = np.bincount(index * (radius + 1) + np.abs(pts).max(axis=1),
+                             minlength=len(masks) * (radius + 1)).reshape(-1, radius + 1)
+        dims = np.array([_mask_dims(fan, m) for m in masks.tolist()])
+        hs += counts.sum(axis=1) @ dims
+        contributing += counts.T @ dims.any(axis=1)
     return hs, contributing
 
 
 @_per_fan
 def _factor_scan(fan, a, box):
-    """Per sup-norm s up to the scanned radius (B(D), or `box`): h^0..h^n
-    and the number of contributing degrees over [-s, s]^n, as lists of
-    Python ints."""
+    """h^0..h^n over the scanned box (radius B(D), or `box`), and the number
+    of contributing degrees over [-s, s]^n for each s up to that radius, as
+    lists of Python ints."""
     hs, contributing = _scan(fan, a, _degree_bound(fan, a) if box is None else box)
-    return np.cumsum(hs, axis=0).tolist(), np.cumsum(contributing).tolist()
+    return hs.tolist(), np.cumsum(contributing).tolist()
 
 
 def line_bundle_cohomology(fan, divisor, box=None):
     """Exact cohomology table of O(D) on a smooth complete fan.
 
     The adaptive table scans the box [-B, B]^n once, at the proven radius
-    B = B(D) of `_degree_bound`, and reports as `box` the radius the earlier
-    doubling rule stopped at, replayed on the contributing degrees counted
-    per sup-norm: start at R = 1 + max|a_j| * max|v_j| and double while a
-    degree of sup-norm R or R-1 contributes.  `box` forces a fixed radius
-    instead, and the table counts that box only.
+    B = B(D) of `_degree_bound`, so its dims are the whole cohomology.  It
+    reports as `box` the radius the earlier doubling rule stopped at,
+    replayed on the contributing degrees counted per sup-norm: start at
+    R = 1 + max|a_j| * max|v_j| and double while a degree of sup-norm R or
+    R-1 contributes.  `box` forces a fixed radius instead, and the table
+    counts that box only.
 
     A product of fans on disjoint blocks of coordinates (`_coordinate_factors`)
     is scanned factor by factor instead, each at its own B(D) or at `box`.
-    Its box [-s, s]^n is the product of the factors' boxes, so by Kunneth
-    its cumulative dims at s are the convolution of the factors' and its
-    contributing degrees of sup-norm <= s number the product of theirs; its
-    B(D) is the largest of the factors'.
+    By Kunneth its dims are the convolution of the factors'.  Its box
+    [-s, s]^n is the product of the factors' boxes, so its contributing
+    degrees of sup-norm <= s number the product of theirs; its B(D) is the
+    largest of the factors'.
 
     Raises ValueError for a negative `box`, a coefficient of absolute value
     2^31 or more, and, for each scanned fan, more than 62 rays, a scanned box
@@ -515,7 +447,7 @@ def _table(fan, a, box):
             radius *= 2
     dims = [1]
     for hs, _ in sums:
-        dims = _poly_mul(dims, hs[min(radius, len(hs) - 1)])
+        dims = _poly_mul(dims, hs)
     return CohomologyTable(tuple(dims), radius)
 
 

@@ -8,12 +8,11 @@ but depend on the ray order; cross-run comparisons should go through
 linearly_equivalent.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fan import _per_fan
+from .fan import _integers, _per_fan
 from .lattice import as_vector, smith_normal_form, solve_integral
 
 
@@ -22,10 +21,7 @@ class TorsionDetected(RuntimeError):
 
 
 def _coeffs(fan, divisor):
-    try:
-        d = tuple(map(operator.index, divisor))
-    except TypeError:
-        raise ValueError(f"divisor coefficients must be integers, got {divisor!r}") from None
+    d = _integers(divisor, "divisor coefficients")
     if len(d) != len(fan.rays):
         raise ValueError(
             f"divisor has {len(d)} coefficients but the fan has {len(fan.rays)} rays")

@@ -10,6 +10,7 @@ with maximal Picard number (del Pezzo-6 towers over P^1).
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, wraps
@@ -46,6 +47,14 @@ def _per_fan(fn):
     return cached
 
 
+def _integers(values, what):
+    """The values as a tuple of Python ints; ValueError for a non-integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
 class Fan:
     """Immutable simplicial fan: ray generators plus maximal cone index sets.
 
@@ -57,7 +66,7 @@ class Fan:
     def __init__(self, dim, rays, max_cones):
         if dim < 1:
             raise ValueError("fan dimension must be positive")
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        rays = tuple(_integers(r, "ray coordinates") for r in rays)
         if not rays:
             raise ValueError("a fan needs at least one ray")
         for r in rays:
@@ -69,7 +78,7 @@ class Fan:
             raise ValueError("ray generators must be pairwise distinct")
         cones = []
         for cone in max_cones:
-            c = tuple(sorted(int(i) for i in cone))
+            c = tuple(sorted(_integers(cone, "cone indices")))
             if len(c) != dim or len(set(c)) != dim:
                 raise ValueError(f"maximal cone {c} must consist of {dim} distinct rays")
             if c and (c[0] < 0 or c[-1] >= len(rays)):

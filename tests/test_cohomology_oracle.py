@@ -36,10 +36,11 @@ def test_matches_oracle(spec, block, monkeypatch):
         assert (table.dims, table.box) == oracle_cohomology(fan, d, box), (d, box)
 
 
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("spec", SPECS + ["dP:3*dP:3", "P:1*dP:3"])
 def test_proven_radius(spec):
     # no degree outside [-B, B]^n contributes, and the replayed box reaches
-    # past the largest contributing sup-norm T, so no contribution is cut off
+    # past the largest contributing sup-norm T, so no contribution is cut off;
+    # on the coordinate products the box is replayed from the factors' counts
     fan = build_named(spec)
     for d in {d for d, box in cases(spec, fan) if box is None}:
         bound = cohomology._degree_bound(fan, d)

@@ -325,6 +325,19 @@ class TestValidate:
         with pytest.raises(ValueError):
             Fan(2, [(1, 0), (0, 1)], [(0, 1), (0, 1)])
 
+    def test_non_integer_entries_are_refused(self):
+        # int() would truncate 1.7 to 1 and build the line
+        with pytest.raises(ValueError, match="ray coordinates must be integers"):
+            Fan(1, [(1.7,), (-1,)], [(0,), (1,)])
+        with pytest.raises(ValueError, match="cone indices must be integers"):
+            Fan(1, [(1,), (-1,)], [(0.0,), (1,)])
+
+    def test_numpy_integers_pass(self):
+        fan = Fan(1, np.array([[1], [-1]], dtype=np.int64), np.array([[1], [0]], dtype=np.int32))
+        assert fan.rays == ((1,), (-1,)) and fan.max_cones == ((0,), (1,))
+        assert all(type(x) is int for r in fan.rays for x in r)
+        assert all(type(i) is int for c in fan.max_cones for i in c)
+
 
 class TestWalls:
     def test_p1_single_wall(self):
