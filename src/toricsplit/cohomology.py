@@ -37,8 +37,9 @@ Kunneth the product's dims are the convolution of the factors'; the box
 [-s, s]^n is the product of the factors' boxes, so its contributing degrees
 number the product of theirs, and its B(D) is the largest of the factors'.
 
-On top of that sit the (strongly) exceptional collection checks: Ext groups
-between line bundles are cohomology of coefficient differences.
+On top of that sit the (strongly) exceptional collection checks.  Ext groups
+between line bundles are cohomology of coefficient differences, and both
+checks read them from the one matrix of `ext_table`.
 """
 
 import heapq
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, divisor_class
-from .fan import Fan, _faces, _mask, _per_fan, _poly_mul, fan_product
+from .fan import Fan, _faces, _integers, _mask, _per_fan, _poly_mul, fan_product
 
 _INT64_SAFE = 2 ** 31
 _BLOCK = 2 ** 16
@@ -411,12 +412,13 @@ def line_bundle_cohomology(fan, divisor, box=None):
     degrees of sup-norm <= s number the product of theirs; its B(D) is the
     largest of the factors'.
 
-    Raises ValueError for a negative `box`, a coefficient of absolute value
-    2^31 or more, and, for each scanned fan, more than 62 rays, a scanned box
-    whose pairings <m, v_j> reach 2^31, or one of more than _MAX_BOX_POINTS
-    degrees; all of these are decided before that fan's scan.
+    Raises ValueError for a `box` that is no integer >= 0, a coefficient of
+    absolute value 2^31 or more, and, for each scanned fan, more than 62
+    rays, a scanned box whose pairings <m, v_j> reach 2^31, or one of more
+    than _MAX_BOX_POINTS degrees; all decided before that fan's scan.
     """
     a = _coeffs(fan, divisor)
+    box = None if box is None else _integers((box,), "box radius")[0]
     if box is not None and box < 0:
         raise ValueError(f"box radius must be >= 0, got {box}")
     return _table(fan, a, box)
@@ -435,7 +437,7 @@ def _table(fan, a, box):
                          "value for the int64 degree scan")
     sums = [_factor_scan(f, tuple(a[j] for j in rays), box) for f, rays in factors]
     if box is not None:
-        radius = int(box)
+        radius = box
     else:
         counts = [math.prod(c[min(s, len(c) - 1)] for _, c in sums)
                   for s in range(max(len(c) for _, c in sums))]
@@ -451,29 +453,17 @@ def _table(fan, a, box):
     return CohomologyTable(tuple(dims), radius)
 
 
-def _difference(d1, d2):
-    return tuple(x - y for x, y in zip(d1, d2))
-
-
-def _pair_tables(fan, bundles, box):
-    """(j, k, H^*(d_j - d_k), H^*(d_k - d_j)) for each pair j < k, in
-    `itertools.combinations` order.  The tables come through the public
-    `line_bundle_cohomology`, so perfbench's trace counts every one."""
-    for j, k in itertools.combinations(range(len(bundles)), 2):
-        yield (j, k, line_bundle_cohomology(fan, _difference(bundles[j], bundles[k]), box=box),
-               line_bundle_cohomology(fan, _difference(bundles[k], bundles[j]), box=box))
-
-
 def ext_table(fan, collection, box=None):
     """Matrix of cohomology tables: entry (j, k) is H^*(d_k - d_j).
 
     Ext^i between the j-th and k-th line bundles is the i-th entry of table
-    (j, k); the diagonal is the cohomology of the structure sheaf.
+    (j, k); the diagonal is the cohomology of the structure sheaf.  Both
+    collection checks read this one matrix.
     """
     bundles = [_coeffs(fan, d) for d in collection]
     if not bundles:
         raise ValueError("collection must be nonempty")
-    return [[line_bundle_cohomology(fan, _difference(dk, dj), box=box)
+    return [[line_bundle_cohomology(fan, tuple(x - y for x, y in zip(dk, dj)), box=box)
              for dk in bundles] for dj in bundles]
 
 
@@ -491,20 +481,18 @@ def is_strongly_exceptional(fan, collection, box=None):
 
     Requires: every member exceptional (automatic for line bundles on a
     valid fan), no Homs or Exts from later to earlier members, and no higher
-    Exts forward.
+    Exts forward.  All are read from `ext_table`, O from its diagonal.
     """
-    bundles = [_coeffs(fan, d) for d in collection]
-    if not bundles:
-        raise ValueError("collection must be nonempty")
+    ext = ext_table(fan, collection, box)
+    o_table = ext[0][0]
     violations = []
-    o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays), box=box)
     if o_table.dims[0] != 1 or not o_table.higher_vanish():
         violations.append(("structure-sheaf", None, None, o_table.dims))
-    for j, k, backward, forward in _pair_tables(fan, bundles, box):
-        if any(backward.dims):
-            violations.append(("backward", j, k, backward.dims))
-        if not forward.higher_vanish():
-            violations.append(("forward-higher", j, k, forward.dims))
+    for j, k in itertools.combinations(range(len(ext)), 2):
+        if any(ext[k][j].dims):
+            violations.append(("backward", j, k, ext[k][j].dims))
+        if not ext[j][k].higher_vanish():
+            violations.append(("forward-higher", j, k, ext[j][k].dims))
     return ExceptionalityReport(not violations, tuple(violations))
 
 
@@ -521,10 +509,12 @@ class StrongOrderResult:
 def find_strong_order(fan, bundles, box=None):
     """Order a set of line bundles into a strongly exceptional collection.
 
-    Orientation "j before k" is admissible when H^*(d_j - d_k) vanishes
-    entirely and H^{>=1}(d_k - d_j) vanishes.  Pairs with a single admissible
-    orientation force an edge; a topological sort with lexicographic
-    tie-break produces the order, or the obstructing pair/cycle is reported.
+    Orientation "j before k" is admissible, first[j, k], when H^*(d_j - d_k)
+    vanishes entirely and H^{>=1}(d_k - d_j) vanishes, as read from
+    `ext_table`.  The first pair j < k (in `itertools.combinations` order)
+    with neither admissible is the witness; pairs with a single admissible
+    orientation force an edge, and a topological sort with lexicographic
+    tie-break produces the order or the obstructing cycle.
     """
     bundles = [_coeffs(fan, d) for d in bundles]
     if not bundles:
@@ -532,30 +522,21 @@ def find_strong_order(fan, bundles, box=None):
     classes = [divisor_class(fan, d) for d in bundles]
     if len(set(classes)) != len(classes):
         raise ValueError("bundles must be pairwise non-equivalent")
-    o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays), box=box)
-    if not o_table.higher_vanish():
-        raise NotExceptionalMember(
-            f"structure sheaf has higher cohomology {o_table.dims}")
+    ext = ext_table(fan, bundles, box)
+    if not ext[0][0].higher_vanish():
+        raise NotExceptionalMember(f"structure sheaf has higher cohomology {ext[0][0].dims}")
 
-    m = len(bundles)
-    successors = [[] for _ in range(m)]
-    indegree = [0] * m
-    edges = set()
-    for j, k, t_jk, t_kj in _pair_tables(fan, bundles, box):
-        j_first = not any(t_jk.dims) and t_kj.higher_vanish()
-        k_first = not any(t_kj.dims) and t_jk.higher_vanish()
-        if not j_first and not k_first:
-            return StrongOrderResult(False, (),
-                                     ("pair", j, k, t_jk.dims, t_kj.dims))
-        if j_first and not k_first:
-            edges.add((j, k))
-        elif k_first and not j_first:
-            edges.add((k, j))
-    for a, b in edges:
-        successors[a].append(b)
-        indegree[b] += 1
-
-    ready = [i for i in range(m) if indegree[i] == 0]
+    # entry (j, k) of ext is H^*(d_k - d_j)
+    vanish = np.array([[not any(t.dims) for t in row] for row in ext])
+    first = vanish.T & np.array([[t.higher_vanish() for t in row] for row in ext])
+    bad = np.argwhere(np.triu(~first & ~first.T, 1))
+    if len(bad):
+        j, k = bad[0].tolist()
+        return StrongOrderResult(False, (), ("pair", j, k, ext[k][j].dims, ext[j][k].dims))
+    forced = first & ~first.T
+    successors = [np.flatnonzero(row).tolist() for row in forced]
+    indegree = forced.sum(axis=0).tolist()
+    ready = [i for i, d in enumerate(indegree) if d == 0]
     heapq.heapify(ready)
     order = []
     while ready:
@@ -565,8 +546,8 @@ def find_strong_order(fan, bundles, box=None):
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 heapq.heappush(ready, nxt)
-    if len(order) != m:
-        stuck = tuple(i for i in range(m) if indegree[i] > 0)
+    if len(order) != len(bundles):
+        stuck = tuple(i for i, d in enumerate(indegree) if d > 0)
         return StrongOrderResult(False, (), ("cycle", stuck))
     return StrongOrderResult(True, tuple(bundles[i] for i in order), None)
 

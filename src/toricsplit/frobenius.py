@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisor import _coeffs, _pic_projection, linearly_equivalent
+from .fan import _integers
 
 
 _BLOCK = 2 ** 14
@@ -35,6 +36,7 @@ def _summand_blocks(fan, divisor, p, base_cone):
     the summand count p^n against _MAX_SUMMANDS included, before the first
     block is made.
     """
+    p, base_cone = _integers((p, base_cone), "p and base cone")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if not 0 <= base_cone < len(fan.max_cones):

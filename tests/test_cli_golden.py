@@ -65,6 +65,13 @@ INPUTS = {
                                                   1, 0, 1, 0, 0, 0, 0, 1, 0, 0]},
     "xd3_summands": lambda: {"bundles": summand_set("Xd:3", 5)},
     "dp3_dp3_summands": lambda: {"bundles": summand_set("dP:3*dP:3", 3)},
+    # failing collections: a pair with no admissible orientation, two
+    # forward-higher violations, and backward violations
+    "p2_pair_witness": lambda: {"bundles": [[0, 0, 0], [3, 0, 0], [1, 0, 0]]},
+    "f2_forward_higher": lambda: {"bundles": [[0, -2, 1, 1], [1, -2, 1, 1], [2, -1, -2, 1]]},
+    "dp3_backward": lambda: {"bundles": [[0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 1, 1],
+                                         [0, 0, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0],
+                                         [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0]]},
 }
 
 CASES = {}
@@ -90,6 +97,11 @@ for _spec, _divisor in (("Xd:5", "xd5_minus_3k"), ("Xd:5", "xd5_non_nef"),
 for _spec, _collection in (("Xd:3", "xd3_summands"), ("dP:3*dP:3", "dp3_dp3_summands")):
     CASES[f"order_{_collection}"] = ("collection", "order", "--variety", _spec,
                                      "--collection", _collection)
+CASES["order_p2_pair_witness"] = ("collection", "order", "--variety", "P:2",
+                                  "--collection", "p2_pair_witness")
+for _spec, _collection in (("F:2", "f2_forward_higher"), ("dP:3", "dp3_backward")):
+    CASES[f"verify_{_collection}"] = ("collection", "verify", "--variety", _spec,
+                                      "--collection", _collection)
 
 
 def capture(name, workdir):

@@ -143,6 +143,17 @@ class TestLineBundles:
         with pytest.raises(ValueError, match="budget"):
             line_bundle_cohomology(projective_space(1), (0, 0), box=2 ** 29)
 
+    def test_float_box_is_refused(self):
+        # a float box raised a numpy TypeError in the scan on a fresh fan, and
+        # after box=1 it hit that table's memo entry, since 1.0 == 1
+        fan = projective_space(2)
+        with pytest.raises(ValueError, match="must be integers"):
+            line_bundle_cohomology(fan, (3, 0, 0), box=1.0)
+        table = line_bundle_cohomology(fan, (3, 0, 0), box=1)
+        with pytest.raises(ValueError, match="must be integers"):
+            line_bundle_cohomology(fan, (3, 0, 0), box=1.0)
+        assert line_bundle_cohomology(fan, (3, 0, 0), box=np.int64(1)) == table
+
     def test_fractional_coefficients_are_refused(self):
         # int() truncated 0.5 to 0 and returned the table of O
         fan = projective_space(2)

@@ -76,6 +76,13 @@ class TestSummand:
         for p, base in ((0, 0), (2, 2), (2, -1)):
             with pytest.raises(ValueError):
                 summand_divisors(fan, zero(fan), p, base)
+        # floats raised a TypeError from numpy, not the ValueError of bad input
+        for p, base in ((2.0, 0), (2, 1.0)):
+            for split in (summand_divisors, thomsen_split):
+                with pytest.raises(ValueError, match="must be integers"):
+                    split(fan, zero(fan), p, base)
+        rows = summand_divisors(fan, zero(fan), np.int64(2), np.int64(1))
+        assert rows.tolist() == summand_divisors(fan, zero(fan), 2, 1).tolist()
 
     def test_summand_limit(self):
         # 4097^2 > 2^24 summands: refused before any is enumerated
