@@ -95,7 +95,6 @@ def _build_parser():
     for action in ("verify", "order"):
         p = osub.add_parser(action)
         add_common(p, collection=True)
-        p.add_argument("--box", type=int, default=None)
     p = osub.add_parser("product")
     add_common(p, collection=True)
     p.add_argument("--variety2", help="descriptor of the second factor")
@@ -279,7 +278,7 @@ def _cmd_collection(args):
     bundles = _load_collection(args, fan)
     if args.action == "verify":
         with _input_errors():
-            report = cohomology_mod.is_strongly_exceptional(fan, bundles, box=args.box)
+            report = cohomology_mod.is_strongly_exceptional(fan, bundles)
         payload = {
             "pass": report.passed,
             "violations": [{"kind": kind, "j": j, "k": k, "dims": list(dims)}
@@ -288,7 +287,7 @@ def _cmd_collection(args):
         return payload, 0 if report.passed else 1
     if args.action == "order":
         with _input_errors():
-            result = cohomology_mod.find_strong_order(fan, bundles, box=args.box)
+            result = cohomology_mod.find_strong_order(fan, bundles)
         if result.ok:
             return {"ok": True, "order": [list(b) for b in result.order]}, 0
         witness = [x if isinstance(x, (int, str)) else list(x)

@@ -9,11 +9,12 @@ infinitely many degrees with the same cohomology.  The closure of a bounded
 cell is a polytope whose vertices solve <m, v_j> = -a_j for n linearly
 independent rays, so every contributing degree has |m|_inf at most the floor
 B(D) of the largest vertex sup-norm.  The box [-B(D), B(D)]^n is scanned
-once in fixed blocks, counting degrees per (sign mask, sup-norm) pair; the
-dims are the whole scan, and the reported box replays the earlier doubling
-rule on the contributing counts per sup-norm.  A scan of more than 2^30
-degrees is refused with ValueError before it starts.  Faces are vertex
-masks; every boundary rank comes from one exact sparse elimination.
+once in fixed blocks, counting degrees per sign mask and marking the
+sup-norms at which some degree contributes; the dims are the whole scan,
+and the reported box replays the earlier doubling rule on those sup-norms.
+A scan of more than 2^30 degrees is refused with ValueError before it
+starts.  Faces are vertex masks; every boundary rank comes from one exact
+sparse elimination.
 
 The masks are reduced block by block.  Take the components of the graph
 whose edges are the ray pairs in no common cone.  If #maximal cones equals
@@ -32,14 +33,17 @@ A fan that is the product of fans on disjoint blocks of coordinates (the
 components of the graph joining two coordinates when some ray is nonzero in
 both, accepted by the same cone count as the join blocks) is not scanned
 whole.  Each factor is scanned at its own B(D), or at the fixed box, and
-caches its dims and its cumulative contributing counts per sup-norm.  By
-Kunneth the product's dims are the convolution of the factors'; the box
-[-s, s]^n is the product of the factors' boxes, so its contributing degrees
-number the product of theirs, and its B(D) is the largest of the factors'.
+caches its dims and its contributing sup-norms.  By Kunneth the product's
+dims are the convolution of the factors'.  A product degree contributes
+exactly when each factor's part does, and its sup-norm is the largest of
+the parts', so the product's contributing sup-norms are the factors' that
+reach every factor's smallest one.
 
 On top of that sit the (strongly) exceptional collection checks.  Ext groups
 between line bundles are cohomology of coefficient differences, and both
-checks read them from the one matrix of `ext_table`.
+checks read them from the one matrix of `ext_table`, always at the proven
+radius: a fixed box smaller than B(D) could miss a degree and pass a wrong
+verdict, and a larger one gives the same verdict at more cost.
 """
 
 import heapq
@@ -154,19 +158,16 @@ def _components(adjacent):
     return components
 
 
-def _restrictions(cones, blocks):
-    """Per block of rays: the sorted distinct sets `cone & block` of the
-    cones, in block-local indices."""
-    local = {j: (b, i) for b, block in enumerate(blocks) for i, j in enumerate(block)}
-    found = [set() for _ in blocks]
-    for cone in cones:
-        parts = [[] for _ in blocks]
-        for j in cone:
-            b, i = local[j]
-            parts[b].append(i)
-        for seen, part in zip(found, parts):
-            seen.add(tuple(part))
-    return [sorted(seen) for seen in found]
+def _product_facets(cones, blocks):
+    """Per block mask, the sorted distinct masks `cone & block` of the cone
+    masks, or None unless their numbers multiply to the number of cones.
+
+    Each cone is the union of its restrictions, so cone -> (cone & b)_b is
+    injective into the product of the blocks' sets; when the counts multiply
+    to #cones it is onto, and every choice of one set per block is a cone.
+    """
+    facets = [tuple(sorted({c & block for c in cones})) for block in blocks]
+    return facets if math.prod(map(len, facets)) == len(cones) else None
 
 
 @_per_fan
@@ -176,11 +177,9 @@ def _join_blocks(fan):
     sorted distinct facets `cone & block`.
 
     The candidate blocks are the components of the graph whose edges are the
-    ray pairs in no common cone.  Each maximal cone is the union of its
-    restrictions, so cone -> (cone & b)_b is injective into the product of
-    the blocks' facet sets; when #cones equals the size of that product it
-    is onto, every choice of one facet per block is a cone, and the complex
-    is the join.  Otherwise all rays form one block.
+    ray pairs in no common cone.  When `_product_facets` accepts them, every
+    choice of one facet per block is a cone, and the complex is the join.
+    Otherwise all rays form one block.
     """
     count = len(fan.rays)
     together = np.eye(count, dtype=bool)
@@ -188,8 +187,8 @@ def _join_blocks(fan):
         together[np.ix_(cone, cone)] = True
     blocks = [_mask(block) for block in _components(~together)]
     cones = [_mask(cone) for cone in fan.max_cones]
-    facets = [tuple(sorted({c & block for c in cones})) for block in blocks]
-    if math.prod(map(len, facets)) != len(cones):
+    facets = _product_facets(cones, blocks)
+    if facets is None:
         return [(1 << count) - 1], [tuple(sorted(cones))]
     return blocks, facets
 
@@ -203,10 +202,9 @@ def _coordinate_factors(fan):
     two coordinates are joined when some ray is nonzero in both, so every
     ray lies in the coordinate span of one block.  The fan is accepted as
     the product of its blocks' sub-fans when there are at least two blocks,
-    every restriction `cone & rays(block)` has as many rays as the block has
-    coordinates, and #cones equals the product of the numbers of distinct
-    restrictions: then every choice of one restriction per block is a cone,
-    as in `_join_blocks`.  Equal factors share one fan, and so one cache.
+    `_product_facets` accepts the blocks' rays, and every restriction
+    `cone & rays(block)` has as many rays as the block has coordinates.
+    Equal factors share one fan, and so one cache.
     """
     support = np.array([[x != 0 for x in r] for r in fan.rays], dtype=np.int64)
     coordinates = _components(support.T @ support > 0)
@@ -215,19 +213,17 @@ def _coordinate_factors(fan):
         owner[block] = b
     first = owner[support.argmax(axis=1)]
     groups = [np.flatnonzero(first == b).tolist() for b in range(len(coordinates))]
-    facets = _restrictions(fan.max_cones, groups)
-    factors = None
-    if len(coordinates) >= 2 and \
-            all(len(f) == len(block) for block, fs in zip(coordinates, facets) for f in fs) and \
-            math.prod(map(len, facets)) == len(fan.max_cones):
-        shared = {}
-        factors = []
-        for block, group, fs in zip(coordinates, groups, facets):
-            rays = tuple(tuple(fan.rays[j][c] for c in block) for j in group)
-            factor = shared.get((rays, tuple(fs)))
-            if factor is None:
-                factor = shared[rays, tuple(fs)] = Fan(len(block), rays, fs)
-            factors.append((factor, group))
+    facets = _product_facets([_mask(c) for c in fan.max_cones], [_mask(g) for g in groups])
+    if len(coordinates) < 2 or facets is None or \
+            any(f.bit_count() != len(block) for block, fs in zip(coordinates, facets) for f in fs):
+        return None
+    shared, factors = {}, []
+    for block, group, fs in zip(coordinates, groups, facets):
+        rays = tuple(tuple(fan.rays[j][c] for c in block) for j in group)
+        cones = tuple(sorted(tuple(i for i, j in enumerate(group) if f >> j & 1) for f in fs))
+        if (rays, cones) not in shared:
+            shared[rays, cones] = Fan(len(block), rays, cones)
+        factors.append((shared[rays, cones], group))
     return factors
 
 
@@ -347,17 +343,19 @@ def _degree_bound(fan, a):
     return int((numerators // np.abs(dets)).max(initial=0))
 
 
-def _scan(fan, a, radius):
-    """Over the degrees in [-R, R]^n: h^0..h^n, and the number of
-    contributing degrees of each sup-norm s <= R.
+@_per_fan
+def _scan(fan, a, box):
+    """(dims, norms) over the degrees in [-R, R]^n, R = B(D) or the fixed
+    `box`: h^0..h^n and the sorted sup-norms at which some degree
+    contributes, as tuples of Python ints.
 
     The box is walked in blocks of _BLOCK flat indices.  Each block takes
-    its distinct sign masks (bit j for ray j), counts its degrees per (mask,
-    sup-norm) pair with one bincount and reads each mask's dims from
-    `_mask_dims`.
+    its distinct sign masks (bit j for ray j), counts its degrees per mask
+    with one bincount and reads each mask's dims from `_mask_dims`.
     """
     n = fan.dim
     rmat, ray_l1, _ = _scan_constants(fan)
+    radius = _degree_bound(fan, a) if box is None else box
     side = 2 * radius + 1
     total = side ** n
     if total > _MAX_BOX_POINTS:
@@ -369,7 +367,7 @@ def _scan(fan, a, radius):
     weights = np.int64(1) << np.arange(len(fan.rays), dtype=np.int64)
     avec = np.array(a, dtype=np.int64)
     hs = np.zeros(n + 1, dtype=np.int64)
-    contributing = np.zeros(radius + 1, dtype=np.int64)
+    seen = np.zeros(radius + 1, dtype=bool)
     for start in range(0, total, _BLOCK):
         flat = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
         pts = np.empty((len(flat), n), dtype=np.int64)
@@ -377,21 +375,10 @@ def _scan(fan, a, radius):
             flat, digit = np.divmod(flat, side)
             pts[:, k] = digit - radius
         masks, index = np.unique((pts @ rmat.T < -avec) @ weights, return_inverse=True)
-        counts = np.bincount(index * (radius + 1) + np.abs(pts).max(axis=1),
-                             minlength=len(masks) * (radius + 1)).reshape(-1, radius + 1)
         dims = np.array([_mask_dims(fan, m) for m in masks.tolist()])
-        hs += counts.sum(axis=1) @ dims
-        contributing += counts.T @ dims.any(axis=1)
-    return hs, contributing
-
-
-@_per_fan
-def _factor_scan(fan, a, box):
-    """h^0..h^n over the scanned box (radius B(D), or `box`), and the number
-    of contributing degrees over [-s, s]^n for each s up to that radius, as
-    lists of Python ints."""
-    hs, contributing = _scan(fan, a, _degree_bound(fan, a) if box is None else box)
-    return hs.tolist(), np.cumsum(contributing).tolist()
+        hs += np.bincount(index, minlength=len(masks)) @ dims
+        seen[np.abs(pts).max(axis=1)[dims.any(axis=1)[index]]] = True
+    return tuple(hs.tolist()), tuple(np.flatnonzero(seen).tolist())
 
 
 def line_bundle_cohomology(fan, divisor, box=None):
@@ -400,17 +387,17 @@ def line_bundle_cohomology(fan, divisor, box=None):
     The adaptive table scans the box [-B, B]^n once, at the proven radius
     B = B(D) of `_degree_bound`, so its dims are the whole cohomology.  It
     reports as `box` the radius the earlier doubling rule stopped at,
-    replayed on the contributing degrees counted per sup-norm: start at
+    replayed on the sup-norms at which some degree contributes: start at
     R = 1 + max|a_j| * max|v_j| and double while a degree of sup-norm R or
     R-1 contributes.  `box` forces a fixed radius instead, and the table
     counts that box only.
 
     A product of fans on disjoint blocks of coordinates (`_coordinate_factors`)
     is scanned factor by factor instead, each at its own B(D) or at `box`.
-    By Kunneth its dims are the convolution of the factors'.  Its box
-    [-s, s]^n is the product of the factors' boxes, so its contributing
-    degrees of sup-norm <= s number the product of theirs; its B(D) is the
-    largest of the factors'.
+    By Kunneth its dims are the convolution of the factors'.  A product
+    degree contributes exactly when each factor's part does, and its
+    sup-norm is the largest of the parts', so the product's contributing
+    sup-norms are those of the factors' that reach every factor's smallest.
 
     Raises ValueError for a `box` that is no integer >= 0, a coefficient of
     absolute value 2^31 or more, and, for each scanned fan, more than 62
@@ -435,35 +422,33 @@ def _table(fan, a, box):
     if largest >= _INT64_SAFE:
         raise ValueError("divisor coefficients must be below 2^31 in absolute "
                          "value for the int64 degree scan")
-    sums = [_factor_scan(f, tuple(a[j] for j in rays), box) for f, rays in factors]
-    if box is not None:
-        radius = box
-    else:
-        counts = [math.prod(c[min(s, len(c) - 1)] for _, c in sums)
-                  for s in range(max(len(c) for _, c in sums))]
-        norms = [s for s, c in enumerate(counts) if c > (counts[s - 1] if s else 0)]
-        _, _, ray_span = _scan_constants(fan)
-        radius = 1 + largest * ray_span
+    scans = [_scan(f, tuple(a[j] for j in rays), box) for f, rays in factors]
+    radius = box
+    if box is None:
+        lowest = max(part[0] if part else math.inf for _, part in scans)
+        norms = {s for _, part in scans for s in part if s >= lowest}
+        radius = 1 + largest * _scan_constants(fan)[2]
         # the doubling rule: the largest contributing sup-norm <= R is R-1 or R
-        while max((s for s in norms if s <= radius), default=-1) >= radius - 1:
+        while radius in norms or radius - 1 in norms:
             radius *= 2
     dims = [1]
-    for hs, _ in sums:
+    for hs, _ in scans:
         dims = _poly_mul(dims, hs)
     return CohomologyTable(tuple(dims), radius)
 
 
-def ext_table(fan, collection, box=None):
+def ext_table(fan, collection):
     """Matrix of cohomology tables: entry (j, k) is H^*(d_k - d_j).
 
     Ext^i between the j-th and k-th line bundles is the i-th entry of table
-    (j, k); the diagonal is the cohomology of the structure sheaf.  Both
-    collection checks read this one matrix.
+    (j, k); the diagonal is the cohomology of the structure sheaf.  Every
+    table is read at the proven radius B(D), so it holds the whole
+    cohomology.  Both collection checks read this one matrix.
     """
     bundles = [_coeffs(fan, d) for d in collection]
     if not bundles:
         raise ValueError("collection must be nonempty")
-    return [[line_bundle_cohomology(fan, tuple(x - y for x, y in zip(dk, dj)), box=box)
+    return [[line_bundle_cohomology(fan, tuple(x - y for x, y in zip(dk, dj)))
              for dk in bundles] for dj in bundles]
 
 
@@ -476,14 +461,15 @@ class ExceptionalityReport:
         return self.passed
 
 
-def is_strongly_exceptional(fan, collection, box=None):
+def is_strongly_exceptional(fan, collection):
     """Check the strong exceptionality of an ordered collection.
 
     Requires: every member exceptional (automatic for line bundles on a
     valid fan), no Homs or Exts from later to earlier members, and no higher
-    Exts forward.  All are read from `ext_table`, O from its diagonal.
+    Exts forward.  All are read from `ext_table`, at the proven radius, O
+    from its diagonal.
     """
-    ext = ext_table(fan, collection, box)
+    ext = ext_table(fan, collection)
     o_table = ext[0][0]
     violations = []
     if o_table.dims[0] != 1 or not o_table.higher_vanish():
@@ -506,15 +492,16 @@ class StrongOrderResult:
         return self.ok
 
 
-def find_strong_order(fan, bundles, box=None):
+def find_strong_order(fan, bundles):
     """Order a set of line bundles into a strongly exceptional collection.
 
     Orientation "j before k" is admissible, first[j, k], when H^*(d_j - d_k)
     vanishes entirely and H^{>=1}(d_k - d_j) vanishes, as read from
-    `ext_table`.  The first pair j < k (in `itertools.combinations` order)
-    with neither admissible is the witness; pairs with a single admissible
-    orientation force an edge, and a topological sort with lexicographic
-    tie-break produces the order or the obstructing cycle.
+    `ext_table` at the proven radius.  The first pair j < k (in
+    `itertools.combinations` order) with neither admissible is the witness;
+    pairs with a single admissible orientation force an edge, and a
+    topological sort with lexicographic tie-break produces the order or the
+    obstructing cycle.
     """
     bundles = [_coeffs(fan, d) for d in bundles]
     if not bundles:
@@ -522,7 +509,7 @@ def find_strong_order(fan, bundles, box=None):
     classes = [divisor_class(fan, d) for d in bundles]
     if len(set(classes)) != len(classes):
         raise ValueError("bundles must be pairwise non-equivalent")
-    ext = ext_table(fan, bundles, box)
+    ext = ext_table(fan, bundles)
     if not ext[0][0].higher_vanish():
         raise NotExceptionalMember(f"structure sheaf has higher cohomology {ext[0][0].dims}")
 

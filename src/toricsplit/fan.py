@@ -64,6 +64,7 @@ class Fan:
     """
 
     def __init__(self, dim, rays, max_cones):
+        dim = _integers((dim,), "fan dimension")[0]
         if dim < 1:
             raise ValueError("fan dimension must be positive")
         rays = tuple(_integers(r, "ray coordinates") for r in rays)
@@ -252,6 +253,7 @@ def _validated(fan, what):
 
 def projective_space(n):
     """P^n: rays e_0..e_{n-1} and -(e_0+...+e_{n-1}), all n-subsets as cones."""
+    n = _integers((n,), "projective space dimension")[0]
     if n < 1:
         raise InvalidSpec(f"projective space needs n >= 1, got {n}")
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -269,6 +271,7 @@ def del_pezzo(r):
     dP3 is the full hexagon fan on +-e0, +-e1, +-(e0-e1); dP2 and dP1 drop
     one and two rays of it.
     """
+    r = _integers((r,), "del Pezzo blow-up count")[0]
     if r not in (1, 2, 3):
         raise InvalidSpec(f"del Pezzo surfaces are built for r in 1..3, got {r}")
     drop = {3: (), 2: ((1, -1),), 1: ((1, -1), (-1, 0))}[r]
@@ -280,6 +283,7 @@ def del_pezzo(r):
 
 def hirzebruch(a):
     """Hirzebruch surface F_a: rays e0, e1, -e0 + a*e1, -e1."""
+    a = _integers((a,), "Hirzebruch parameter")[0]
     if a < 0:
         raise InvalidSpec(f"Hirzebruch surface needs a >= 0, got {a}")
     rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
@@ -349,6 +353,7 @@ def del_pezzo_bundle(d):
     its own pair of coordinates, so it is the product fan
     Xd:3 x dP3^((d-3)/2), with the rays in another order.
     """
+    d = _integers((d,), "tower dimension")[0]
     if d < 3 or d % 2 == 0:
         raise InvalidSpec(f"the tower is defined for odd d >= 3, got {d}")
     rays = tower_rays(d)

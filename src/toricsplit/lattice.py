@@ -175,9 +175,11 @@ def smith_normal_form(m):
     u = identity(rows)
     v = identity(cols)
 
-    def row_op(t, i):
-        # plain elimination when the pivot divides; a gcd combination
-        # otherwise, which strictly shrinks the pivot (termination)
+    def op(s, u, t, i):
+        # clear s[i, t] by row operations, recorded in u; on the views s.T,
+        # v.T it clears s[t, i] by column operations.  Plain elimination when
+        # the pivot divides; a gcd combination otherwise, which strictly
+        # shrinks the pivot (termination)
         if s[i, t] % s[t, t] == 0:
             q = s[i, t] // s[t, t]
             s[i] = s[i] - q * s[t]
@@ -189,19 +191,6 @@ def smith_normal_form(m):
         s[t], s[i] = x * rt + y * ri, -q * rt + p * ri
         rt, ri = u[t].copy(), u[i].copy()
         u[t], u[i] = x * rt + y * ri, -q * rt + p * ri
-
-    def col_op(t, j):
-        if s[t, j] % s[t, t] == 0:
-            q = s[t, j] // s[t, t]
-            s[:, j] = s[:, j] - q * s[:, t]
-            v[:, j] = v[:, j] - q * v[:, t]
-            return
-        g, x, y = _exgcd(s[t, t], s[t, j])
-        p, q = s[t, t] // g, s[t, j] // g
-        ct, cj = s[:, t].copy(), s[:, j].copy()
-        s[:, t], s[:, j] = x * ct + y * cj, -q * ct + p * cj
-        ct, cj = v[:, t].copy(), v[:, j].copy()
-        v[:, t], v[:, j] = x * ct + y * cj, -q * ct + p * cj
 
     t = 0
     while t < min(rows, cols):
@@ -223,10 +212,10 @@ def smith_normal_form(m):
         while True:
             for i in range(t + 1, rows):
                 if s[i, t] != 0:
-                    row_op(t, i)
+                    op(s, u, t, i)
             for j in range(t + 1, cols):
                 if s[t, j] != 0:
-                    col_op(t, j)
+                    op(s.T, v.T, t, j)
             if all(s[i, t] == 0 for i in range(t + 1, rows)) and \
                all(s[t, j] == 0 for j in range(t + 1, cols)):
                 d = s[t, t]

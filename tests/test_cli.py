@@ -373,6 +373,20 @@ class TestCollection:
         assert status == 1
         assert report["result"]["ok"] is False
 
+    def test_no_fixed_box(self, capsys, tmp_path):
+        # with --box 0 verify passed this pair and order put O(2, -1, 0)
+        # before O; at the proven radius Hom(O(2, -1, 0), O) has dims [3, 0, 0]
+        coll = self.write_collection(tmp_path, [(2, -1, 0), (0, 0, 0)])
+        for action in ("verify", "order"):
+            status, _, err = run(capsys, "collection", action, "--variety", "P:2",
+                                 "--collection", coll, "--box", "0")
+            assert status == 2 and "--box" in err
+        status, report = run_json(capsys, "collection", "verify",
+                                  "--variety", "P:2", "--collection", coll)
+        assert status == 1
+        assert report["result"]["violations"] == [
+            {"kind": "backward", "j": 0, "k": 1, "dims": [3, 0, 0]}]
+
     def test_product(self, capsys, tmp_path):
         c1 = self.write_collection(tmp_path, [(0, 0), (0, 1)], "c1.json")
         c2 = self.write_collection(tmp_path, [(0, 0), (0, 1)], "c2.json")

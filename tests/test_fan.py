@@ -338,6 +338,25 @@ class TestValidate:
         assert all(type(x) is int for r in fan.rays for x in r)
         assert all(type(i) is int for c in fan.max_cones for i in c)
 
+    def test_non_integer_dimension_is_refused(self):
+        # a float dimension was kept and failed later with a numpy TypeError,
+        # and del_pezzo(2.0) returned dP2
+        with pytest.raises(ValueError, match="fan dimension must be integers"):
+            Fan(2.0, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        for build, arg in ((projective_space, 2.0), (del_pezzo, 2.0),
+                             (hirzebruch, 2.0), (del_pezzo_bundle, 5.0)):
+            with pytest.raises(ValueError, match="must be integers"):
+                build(arg)
+
+    def test_bool_and_numpy_dimensions_become_ints(self):
+        line = Fan(True, [(1,), (-1,)], [(0,), (1,)])
+        assert type(line.dim) is int and line.dim == 1 and validate(line).ok
+        for build, arg in ((projective_space, np.int64(2)), (del_pezzo, np.int32(2)),
+                             (hirzebruch, np.int64(2)), (del_pezzo_bundle, np.int64(3))):
+            fan, plain = build(arg), build(int(arg))
+            assert type(fan.dim) is int
+            assert (fan.dim, fan.rays, fan.max_cones) == (plain.dim, plain.rays, plain.max_cones)
+
 
 class TestWalls:
     def test_p1_single_wall(self):
