@@ -41,9 +41,14 @@ reach every factor's smallest one.
 
 On top of that sit the (strongly) exceptional collection checks.  Ext groups
 between line bundles are cohomology of coefficient differences, and both
-checks read them from the one matrix of `ext_table`, always at the proven
-radius: a fixed box smaller than B(D) could miss a degree and pass a wrong
-verdict, and a larger one gives the same verdict at more cost.
+checks read only two predicates of each: all of H^* vanishes, and H^{>=1}
+vanishes.  `_pair_predicates` gathers them factor by factor: by Kunneth the
+dims of a product table are the product of the factors', which cannot
+cancel, so each factor scans only the differences of the bundles' distinct
+restrictions.  Tables with dims are formed only for O and for the pairs a
+check reports.  Every scan is at the proven radius: a fixed box smaller
+than B(D) could miss a degree and pass a wrong verdict, and a larger one
+gives the same verdict at more cost.
 """
 
 import heapq
@@ -411,17 +416,24 @@ def line_bundle_cohomology(fan, divisor, box=None):
     return _table(fan, a, box)
 
 
-@_per_fan
-def _table(fan, a, box):
-    """`line_bundle_cohomology` of the checked coefficients `a`; a fan that
-    is no coordinate product is its own single factor."""
-    factors = _coordinate_factors(fan) or [(fan, range(len(a)))]
+def _scanned_factors(fan, largest):
+    """The coordinate factors, a fan that is no product being its own single
+    factor, once the scan guards pass for coefficients of absolute value at
+    most `largest`."""
+    factors = _coordinate_factors(fan) or [(fan, range(len(fan.rays)))]
     if max(len(f.rays) for f, _ in factors) > 62:
         raise ValueError("bitmask fast path supports at most 62 rays")
-    largest = max(map(abs, a), default=0)
     if largest >= _INT64_SAFE:
         raise ValueError("divisor coefficients must be below 2^31 in absolute "
                          "value for the int64 degree scan")
+    return factors
+
+
+@_per_fan
+def _table(fan, a, box):
+    """`line_bundle_cohomology` of the checked coefficients `a`."""
+    largest = max(map(abs, a), default=0)
+    factors = _scanned_factors(fan, largest)
     scans = [_scan(f, tuple(a[j] for j in rays), box) for f, rays in factors]
     radius = box
     if box is None:
@@ -443,13 +455,48 @@ def ext_table(fan, collection):
     Ext^i between the j-th and k-th line bundles is the i-th entry of table
     (j, k); the diagonal is the cohomology of the structure sheaf.  Every
     table is read at the proven radius B(D), so it holds the whole
-    cohomology.  Both collection checks read this one matrix.
+    cohomology.  The collection checks do not read this matrix: they read
+    only two predicates of each entry, from `_pair_predicates`.
     """
     bundles = [_coeffs(fan, d) for d in collection]
     if not bundles:
         raise ValueError("collection must be nonempty")
-    return [[line_bundle_cohomology(fan, tuple(x - y for x, y in zip(dk, dj)))
-             for dk in bundles] for dj in bundles]
+    return [[_ext(fan, dj, dk) for dk in bundles] for dj in bundles]
+
+
+def _ext(fan, dj, dk):
+    """The table H^*(d_k - d_j), entry (j, k) of `ext_table`."""
+    return line_bundle_cohomology(fan, tuple(x - y for x, y in zip(dk, dj)))
+
+
+def _pair_predicates(fan, bundles):
+    """(zero, higher): (m, m) boolean arrays for the checked coefficient
+    tuples `bundles`, entry (j, k) true when all of H^*(d_k - d_j),
+    respectively all of H^{>=1}(d_k - d_j), vanishes.
+
+    By Kunneth H^*(X, L) is the tensor product of the factors' H^*(X_f, L_f)
+    over the coordinate factors (a fan that is no product is one factor),
+    and dims are nonnegative, so nothing cancels: all of H^* vanishes
+    exactly when it vanishes on some factor, and H^{>=1} exactly then or
+    when it vanishes on every factor.  Each factor scans one difference per
+    ordered pair of the bundles' distinct restrictions, at its B(D), and
+    the (m, m) arrays are gathered from those small tables.  The guards of
+    `_table` run on the largest difference before any scan.
+    """
+    factors = _scanned_factors(fan, max(max(c) - min(c) for c in zip(*bundles)))
+    zero = np.zeros((len(bundles), len(bundles)), dtype=bool)
+    higher = np.ones_like(zero)
+    for f, rays in factors:
+        # distinct restrictions in order of first appearance: within a factor
+        # the first refused difference is then the one `ext_table` meets first
+        index = {}
+        inverse = [index.setdefault(tuple(b[j] for j in rays), len(index)) for b in bundles]
+        dims = np.array([[_scan(f, tuple(x - y for x, y in zip(rk, rj)), None)[0]
+                          for rk in index] for rj in index])
+        gather = np.ix_(inverse, inverse)
+        zero |= ~dims.any(axis=2)[gather]
+        higher &= ~dims[:, :, 1:].any(axis=2)[gather]
+    return zero, zero | higher
 
 
 @dataclass(frozen=True)
@@ -466,19 +513,27 @@ def is_strongly_exceptional(fan, collection):
 
     Requires: every member exceptional (automatic for line bundles on a
     valid fan), no Homs or Exts from later to earlier members, and no higher
-    Exts forward.  All are read from `ext_table`, at the proven radius, O
-    from its diagonal.
+    Exts forward.  Both pair conditions are read from `_pair_predicates`,
+    at the proven radius; tables, and so dims, are computed only for O and
+    for the violating pairs.  Violations are listed in
+    `itertools.combinations` order, backward before forward-higher.
     """
-    ext = ext_table(fan, collection)
-    o_table = ext[0][0]
+    bundles = [_coeffs(fan, d) for d in collection]
+    if not bundles:
+        raise ValueError("collection must be nonempty")
+    o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays))
+    zero, higher = _pair_predicates(fan, bundles)
     violations = []
     if o_table.dims[0] != 1 or not o_table.higher_vanish():
         violations.append(("structure-sheaf", None, None, o_table.dims))
-    for j, k in itertools.combinations(range(len(ext)), 2):
-        if any(ext[k][j].dims):
-            violations.append(("backward", j, k, ext[k][j].dims))
-        if not ext[j][k].higher_vanish():
-            violations.append(("forward-higher", j, k, ext[j][k].dims))
+    # bad[j, k] = (backward, forward-higher) for the pairs j < k, which
+    # np.argwhere lists in `itertools.combinations` order
+    bad = np.stack([np.triu(~zero.T, 1), np.triu(~higher, 1)], axis=2)
+    for j, k, forward in np.argwhere(bad).tolist():
+        if forward:
+            violations.append(("forward-higher", j, k, _ext(fan, bundles[j], bundles[k]).dims))
+        else:
+            violations.append(("backward", j, k, _ext(fan, bundles[k], bundles[j]).dims))
     return ExceptionalityReport(not violations, tuple(violations))
 
 
@@ -497,11 +552,11 @@ def find_strong_order(fan, bundles):
 
     Orientation "j before k" is admissible, first[j, k], when H^*(d_j - d_k)
     vanishes entirely and H^{>=1}(d_k - d_j) vanishes, as read from
-    `ext_table` at the proven radius.  The first pair j < k (in
-    `itertools.combinations` order) with neither admissible is the witness;
-    pairs with a single admissible orientation force an edge, and a
-    topological sort with lexicographic tie-break produces the order or the
-    obstructing cycle.
+    `_pair_predicates` at the proven radius.  The first pair j < k (in
+    `itertools.combinations` order) with neither admissible is the witness,
+    and only its two tables are computed; pairs with a single admissible
+    orientation force an edge, and a topological sort with lexicographic
+    tie-break produces the order or the obstructing cycle.
     """
     bundles = [_coeffs(fan, d) for d in bundles]
     if not bundles:
@@ -509,17 +564,17 @@ def find_strong_order(fan, bundles):
     classes = [divisor_class(fan, d) for d in bundles]
     if len(set(classes)) != len(classes):
         raise ValueError("bundles must be pairwise non-equivalent")
-    ext = ext_table(fan, bundles)
-    if not ext[0][0].higher_vanish():
-        raise NotExceptionalMember(f"structure sheaf has higher cohomology {ext[0][0].dims}")
+    zero, higher = _pair_predicates(fan, bundles)
+    if not higher[0, 0]:
+        o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays))
+        raise NotExceptionalMember(f"structure sheaf has higher cohomology {o_table.dims}")
 
-    # entry (j, k) of ext is H^*(d_k - d_j)
-    vanish = np.array([[not any(t.dims) for t in row] for row in ext])
-    first = vanish.T & np.array([[t.higher_vanish() for t in row] for row in ext])
+    first = zero.T & higher
     bad = np.argwhere(np.triu(~first & ~first.T, 1))
     if len(bad):
         j, k = bad[0].tolist()
-        return StrongOrderResult(False, (), ("pair", j, k, ext[k][j].dims, ext[j][k].dims))
+        return StrongOrderResult(False, (), ("pair", j, k, _ext(fan, bundles[k], bundles[j]).dims,
+                                             _ext(fan, bundles[j], bundles[k]).dims))
     forced = first & ~first.T
     successors = [np.flatnonzero(row).tolist() for row in forced]
     indegree = forced.sum(axis=0).tolist()

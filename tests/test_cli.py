@@ -326,6 +326,28 @@ class TestBadInput:
         assert report["result"]["picard_rank"] == 2
         assert report["result"]["max_cones"] == 4
 
+    def test_collection_refusals(self, capsys, tmp_path):
+        # on dP:3*dP:3 a difference of 100000 Z_0 asks for (2 * 100000 + 1)^2
+        # degrees of the first factor, and one of 2^31 Z_0 leaves int64
+        zero = [0] * 12
+        far = [100000] + [0] * 11
+        near = [0, 0, 0, 1, 1] + [0] * 7
+        coll = self.write(tmp_path, "c.json", {"bundles": [zero, far, near]})
+        for action in ("order", "verify"):
+            status, out, err = run(capsys, "collection", action, "--variety", "dP:3*dP:3",
+                                   "--collection", coll)
+            assert (status, out) == (2, "")
+            assert err == ("error: degree box of radius 100000 has 40000400001 points, "
+                           "more than the budget of 1073741824\n")
+        half = 2 ** 30
+        coll = self.write(tmp_path, "c.json",
+                          {"bundles": [[half] + [0] * 11, [-half] + [0] * 11]})
+        status, out, err = run(capsys, "collection", "order", "--variety", "dP:3*dP:3",
+                               "--collection", coll)
+        assert (status, out) == (2, "")
+        assert err == ("error: divisor coefficients must be below 2^31 in absolute value "
+                       "for the int64 degree scan\n")
+
     def test_cohomology_on_fans_beyond_int64(self, capsys, tmp_path):
         # O on F_a contributes only in degree 0, the proven radius: it is
         # answered for a = 2^40, and a = 2^70 leaves int64 with exit 2

@@ -23,6 +23,8 @@ SUMMAND_FANS = {
     "Xd:3": (lambda: build_named("Xd:3"), 5),
     "dP:3*dP:3": (lambda: build_named("dP:3*dP:3"), 3),
     "Xd:5": (lambda: build_named("Xd:5"), 4),
+    # three factors, the two dP:3 blocks sharing one factor fan
+    "P:1*dP:3*dP:3": (lambda: build_named("P:1*dP:3*dP:3"), 3),
     "moved dP:3*dP:3": (moved_dp3_squared, 3),
 }
 
@@ -70,6 +72,18 @@ def test_summand_classes(name):
     bundles = summand_classes(fan, p, rng)
     assert assert_agree(fan, bundles).ok
     assert_agree(fan, twisted(bundles, rng.randrange(len(bundles))))
+
+
+def test_one_factor_twisted():
+    # one member twisted by -K of the first dP:3 block only (rays 0-5), so
+    # every bad table is bad on that one coordinate factor
+    fan = build_named("dP:3*dP:3")
+    rng = random.Random("pair-oracle:block twist")
+    bundles = summand_classes(fan, 3, rng)
+    i = rng.randrange(len(bundles))
+    bundles[i] = tuple(x + (j < 6) for j, x in enumerate(bundles[i]))
+    assert not assert_agree(fan, bundles).ok
+    assert not is_strongly_exceptional(fan, bundles)
 
 
 def test_one_bundle():
