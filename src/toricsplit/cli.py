@@ -87,8 +87,6 @@ def _build_parser():
     csub = cohom.add_subparsers(dest="action", required=True)
     p = csub.add_parser("compute")
     add_common(p, divisor=True)
-    p.add_argument("--box", type=int, default=None,
-                   help="fixed degree-box radius instead of the adaptive scan")
 
     coll = sub.add_parser("collection", help="exceptional collections")
     osub = coll.add_subparsers(dest="action", required=True)
@@ -269,7 +267,7 @@ def _cmd_cohomology(args):
     fan = _load_fan(args)
     div = _load_divisor(args, fan)
     with _input_errors():
-        table = cohomology_mod.line_bundle_cohomology(fan, div, box=args.box)
+        table = cohomology_mod.line_bundle_cohomology(fan, div)
     return {"dims": list(table.dims), "box": table.box}, 0
 
 

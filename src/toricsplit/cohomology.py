@@ -32,12 +32,12 @@ one block.
 A fan that is the product of fans on disjoint blocks of coordinates (the
 components of the graph joining two coordinates when some ray is nonzero in
 both, accepted by the same cone count as the join blocks) is not scanned
-whole.  Each factor is scanned at its own B(D), or at the fixed box, and
-caches its dims and its contributing sup-norms.  By Kunneth the product's
-dims are the convolution of the factors'.  A product degree contributes
-exactly when each factor's part does, and its sup-norm is the largest of
-the parts', so the product's contributing sup-norms are the factors' that
-reach every factor's smallest one.
+whole.  Each factor is scanned at its own B(D) and caches its dims and its
+contributing sup-norms.  By Kunneth the product's dims are the convolution
+of the factors'.  A product degree contributes exactly when each factor's
+part does, and its sup-norm is the largest of the parts', so the product's
+contributing sup-norms are the factors' that reach every factor's
+smallest one.
 
 On top of that sit the (strongly) exceptional collection checks.  Ext groups
 between line bundles are cohomology of coefficient differences, and both
@@ -46,9 +46,9 @@ vanishes.  `_pair_predicates` gathers them factor by factor: by Kunneth the
 dims of a product table are the product of the factors', which cannot
 cancel, so each factor scans only the differences of the bundles' distinct
 restrictions.  Tables with dims are formed only for O and for the pairs a
-check reports.  Every scan is at the proven radius: a fixed box smaller
-than B(D) could miss a degree and pass a wrong verdict, and a larger one
-gives the same verdict at more cost.
+check reports.  Every scan, for a table or a check, is at the proven
+radius B(D) and at no other: a smaller box could miss a degree and report
+a wrong number, and a larger one gives the same dims at more cost.
 """
 
 import heapq
@@ -60,7 +60,7 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, divisor_class
-from .fan import Fan, _faces, _integers, _mask, _per_fan, _poly_mul, fan_product
+from .fan import Fan, _faces, _mask, _per_fan, _poly_mul, fan_product
 
 _INT64_SAFE = 2 ** 31
 _BLOCK = 2 ** 16
@@ -259,7 +259,7 @@ def _mask_dims(fan, mask):
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """h^0..h^n plus `box`: the fixed radius, or where the doubling rule stops."""
+    """h^0..h^n plus `box`, the radius where the earlier doubling rule stops."""
     dims: tuple
     box: int
 
@@ -349,10 +349,10 @@ def _degree_bound(fan, a):
 
 
 @_per_fan
-def _scan(fan, a, box):
-    """(dims, norms) over the degrees in [-R, R]^n, R = B(D) or the fixed
-    `box`: h^0..h^n and the sorted sup-norms at which some degree
-    contributes, as tuples of Python ints.
+def _scan(fan, a):
+    """(dims, norms) over the degrees in [-R, R]^n, R = B(D): h^0..h^n and
+    the sorted sup-norms at which some degree contributes, as tuples of
+    Python ints.
 
     The box is walked in blocks of _BLOCK flat indices.  Each block takes
     its distinct sign masks (bit j for ray j), counts its degrees per mask
@@ -360,7 +360,7 @@ def _scan(fan, a, box):
     """
     n = fan.dim
     rmat, ray_l1, _ = _scan_constants(fan)
-    radius = _degree_bound(fan, a) if box is None else box
+    radius = _degree_bound(fan, a)
     side = 2 * radius + 1
     total = side ** n
     if total > _MAX_BOX_POINTS:
@@ -386,34 +386,29 @@ def _scan(fan, a, box):
     return tuple(hs.tolist()), tuple(np.flatnonzero(seen).tolist())
 
 
-def line_bundle_cohomology(fan, divisor, box=None):
+def line_bundle_cohomology(fan, divisor):
     """Exact cohomology table of O(D) on a smooth complete fan.
 
-    The adaptive table scans the box [-B, B]^n once, at the proven radius
-    B = B(D) of `_degree_bound`, so its dims are the whole cohomology.  It
+    The table scans the box [-B, B]^n once, at the proven radius B = B(D)
+    of `_degree_bound`, so its dims are the whole cohomology.  It
     reports as `box` the radius the earlier doubling rule stopped at,
     replayed on the sup-norms at which some degree contributes: start at
     R = 1 + max|a_j| * max|v_j| and double while a degree of sup-norm R or
-    R-1 contributes.  `box` forces a fixed radius instead, and the table
-    counts that box only.
+    R-1 contributes.
 
     A product of fans on disjoint blocks of coordinates (`_coordinate_factors`)
-    is scanned factor by factor instead, each at its own B(D) or at `box`.
-    By Kunneth its dims are the convolution of the factors'.  A product
-    degree contributes exactly when each factor's part does, and its
-    sup-norm is the largest of the parts', so the product's contributing
-    sup-norms are those of the factors' that reach every factor's smallest.
+    is scanned factor by factor instead, each at its own B(D).  By Kunneth
+    its dims are the convolution of the factors'.  A product degree
+    contributes exactly when each factor's part does, and its sup-norm is
+    the largest of the parts', so the product's contributing sup-norms are
+    those of the factors' that reach every factor's smallest.
 
-    Raises ValueError for a `box` that is no integer >= 0, a coefficient of
-    absolute value 2^31 or more, and, for each scanned fan, more than 62
-    rays, a scanned box whose pairings <m, v_j> reach 2^31, or one of more
-    than _MAX_BOX_POINTS degrees; all decided before that fan's scan.
+    Raises ValueError for a coefficient of absolute value 2^31 or more,
+    and, for each scanned fan, more than 62 rays, a scanned box whose
+    pairings <m, v_j> reach 2^31, or one of more than _MAX_BOX_POINTS
+    degrees; all decided before that fan's scan.
     """
-    a = _coeffs(fan, divisor)
-    box = None if box is None else _integers((box,), "box radius")[0]
-    if box is not None and box < 0:
-        raise ValueError(f"box radius must be >= 0, got {box}")
-    return _table(fan, a, box)
+    return _table(fan, _coeffs(fan, divisor))
 
 
 def _scanned_factors(fan, largest):
@@ -430,19 +425,17 @@ def _scanned_factors(fan, largest):
 
 
 @_per_fan
-def _table(fan, a, box):
+def _table(fan, a):
     """`line_bundle_cohomology` of the checked coefficients `a`."""
     largest = max(map(abs, a), default=0)
     factors = _scanned_factors(fan, largest)
-    scans = [_scan(f, tuple(a[j] for j in rays), box) for f, rays in factors]
-    radius = box
-    if box is None:
-        lowest = max(part[0] if part else math.inf for _, part in scans)
-        norms = {s for _, part in scans for s in part if s >= lowest}
-        radius = 1 + largest * _scan_constants(fan)[2]
-        # the doubling rule: the largest contributing sup-norm <= R is R-1 or R
-        while radius in norms or radius - 1 in norms:
-            radius *= 2
+    scans = [_scan(f, tuple(a[j] for j in rays)) for f, rays in factors]
+    lowest = max(part[0] if part else math.inf for _, part in scans)
+    norms = {s for _, part in scans for s in part if s >= lowest}
+    radius = 1 + largest * _scan_constants(fan)[2]
+    # the doubling rule: the largest contributing sup-norm <= R is R-1 or R
+    while radius in norms or radius - 1 in norms:
+        radius *= 2
     dims = [1]
     for hs, _ in scans:
         dims = _poly_mul(dims, hs)
@@ -491,7 +484,7 @@ def _pair_predicates(fan, bundles):
         # the first refused difference is then the one `ext_table` meets first
         index = {}
         inverse = [index.setdefault(tuple(b[j] for j in rays), len(index)) for b in bundles]
-        dims = np.array([[_scan(f, tuple(x - y for x, y in zip(rk, rj)), None)[0]
+        dims = np.array([[_scan(f, tuple(x - y for x, y in zip(rk, rj)))[0]
                           for rk in index] for rj in index])
         gather = np.ix_(inverse, inverse)
         zero |= ~dims.any(axis=2)[gather]

@@ -408,24 +408,68 @@ def fan_product(f1, f2):
 
 
 _DESCRIPTOR = re.compile(r"^([A-Za-z]+):?(\d+)$")
+_MAX_DIM = 2 ** 8
+_MAX_CONES = 2 ** 19
 
 
 def build_named(spec):
     """Build a variety from a descriptor: P:n, dP:r, Xd:d, F:a, or products A*B.
 
-    The colon is optional (P2 == P:2); products multiply left to right.
+    The colon is optional (P2 == P:2); products multiply left to right.  A
+    descriptor of dimension above _MAX_DIM or with more than _MAX_CONES
+    maximal cones is refused with InvalidSpec before anything is built.
     """
     spec = spec.strip()
-    if "*" in spec:
-        factors = [build_named(part) for part in spec.split("*")]
-        fan = factors[0]
-        for f in factors[1:]:
-            fan = fan_product(fan, f)
-        return fan
+    parts = [part.strip() for part in spec.split("*")]
+    sizes = [size for size in map(_named_size, parts) if size]
+    dim = sum(d for d, _ in sizes)
+    if dim > _MAX_DIM:
+        raise InvalidSpec(f"variety {spec!r} has dimension {dim}, "
+                          f"more than the limit of {_MAX_DIM}")
+    cones = math.prod(count for _, count in sizes)
+    if cones > _MAX_CONES:
+        raise InvalidSpec(f"variety {spec!r} has {cones} maximal cones, "
+                          f"more than the limit of {_MAX_CONES}")
+    fan = _build_one(parts[0])
+    for part in parts[1:]:
+        fan = fan_product(fan, _build_one(part))
+    return fan
+
+
+def _parse(spec):
+    """(family, parameter) of a descriptor without products."""
     m = _DESCRIPTOR.match(spec)
     if not m:
         raise InvalidSpec(f"cannot parse variety descriptor {spec!r}")
-    kind, num = m.group(1), int(m.group(2))
+    try:
+        return m.group(1), int(m.group(2))
+    except ValueError:
+        raise InvalidSpec(f"the parameter of {spec!r} has too many digits") from None
+
+
+def _named_size(spec):
+    """(dimension, number of maximal cones) of a descriptor without
+    products, or None when its builder refuses it.  Above _MAX_DIM, where
+    the dimension alone refuses it, the count is None: Xd:d has
+    12 * 6^((d-3)/2) cones, too large to form for a huge d."""
+    try:
+        kind, num = _parse(spec)
+    except InvalidSpec:
+        return None
+    if kind == "P" and num >= 1:
+        return num, num + 1
+    if kind == "dP" and num in (1, 2, 3):
+        return 2, num + 3
+    if kind == "F":
+        return 2, 4
+    if kind == "Xd" and num >= 3 and num % 2:
+        return num, 12 * 6 ** ((num - 3) // 2) if num <= _MAX_DIM else None
+    return None
+
+
+def _build_one(spec):
+    """The fan of a descriptor without products."""
+    kind, num = _parse(spec)
     if kind == "P":
         return projective_space(num)
     if kind == "dP":
@@ -502,13 +546,15 @@ def _cones_containing(fan, point):
 def validate(fan):
     """Check smoothness and completeness; simpliciality holds by representation.
 
-    The fan is complete exactly when all four of these hold:
+    The fan is complete exactly when all five of these hold:
 
     1. every maximal cone has a nonzero determinant;
     2. every wall candidate (dim - 1 rays of a maximal cone) lies in exactly
        two maximal cones;
     3. those two cones lie on opposite sides of the wall;
-    4. the sum of cone 0's rays lies in exactly one closed maximal cone.
+    4. the sum of cone 0's rays lies in exactly one closed maximal cone;
+    5. every ray lies in some maximal cone, so that the rays, which index
+       the torus-invariant divisors, are the fan's own.
 
     1 and 4 read the cones' determinants and adjugates, which one batched
     exact elimination of all cone matrices computes and `Fan.cone_adjugates`
@@ -522,7 +568,8 @@ def validate(fan):
     number of cones: the cones cover space with some degree.  Near the point
     of 4 only cone 0 covers, so the degree is one: every point is covered
     and no two cones overlap.  A multi-fan winding twice around the origin
-    passes 1-3 and fails 4.  All four tests are exact.
+    passes 1-3 and fails 4.  All five tests are exact; 5 runs only once 1-4
+    pass.
     """
     messages = []
     det_array = fan.cone_adjugates[0]
@@ -560,6 +607,12 @@ def validate(fan):
             complete = False
             messages.append(f"point {tuple(int(x) for x in point)} of cone "
                             f"{fan.max_cones[0]} lies in {count} maximal cones")
+    if complete:
+        used = np.zeros(len(fan.rays), dtype=bool)
+        used[np.array(fan.max_cones, dtype=np.intp)] = True
+        for j in np.flatnonzero(~used)[:5].tolist():
+            complete = False
+            messages.append(f"ray {j} {fan.rays[j]} lies in no maximal cone")
     return ValidationReport(smooth, complete, True, tuple(messages))
 
 

@@ -25,16 +25,16 @@ def _difference(d1, d2):
     return tuple(x - y for x, y in zip(d1, d2))
 
 
-def _pair_tables(fan, bundles, box):
+def _pair_tables(fan, bundles):
     """(j, k, H^*(d_j - d_k), H^*(d_k - d_j)) for each pair j < k, in
     `itertools.combinations` order.  The tables come through the public
     `line_bundle_cohomology`, so perfbench's trace counts every one."""
     for j, k in itertools.combinations(range(len(bundles)), 2):
-        yield (j, k, line_bundle_cohomology(fan, _difference(bundles[j], bundles[k]), box=box),
-               line_bundle_cohomology(fan, _difference(bundles[k], bundles[j]), box=box))
+        yield (j, k, line_bundle_cohomology(fan, _difference(bundles[j], bundles[k])),
+               line_bundle_cohomology(fan, _difference(bundles[k], bundles[j])))
 
 
-def is_strongly_exceptional(fan, collection, box=None):
+def is_strongly_exceptional(fan, collection):
     """Check the strong exceptionality of an ordered collection.
 
     Requires: every member exceptional (automatic for line bundles on a
@@ -45,10 +45,10 @@ def is_strongly_exceptional(fan, collection, box=None):
     if not bundles:
         raise ValueError("collection must be nonempty")
     violations = []
-    o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays), box=box)
+    o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays))
     if o_table.dims[0] != 1 or not o_table.higher_vanish():
         violations.append(("structure-sheaf", None, None, o_table.dims))
-    for j, k, backward, forward in _pair_tables(fan, bundles, box):
+    for j, k, backward, forward in _pair_tables(fan, bundles):
         if any(backward.dims):
             violations.append(("backward", j, k, backward.dims))
         if not forward.higher_vanish():
@@ -56,7 +56,7 @@ def is_strongly_exceptional(fan, collection, box=None):
     return ExceptionalityReport(not violations, tuple(violations))
 
 
-def find_strong_order(fan, bundles, box=None):
+def find_strong_order(fan, bundles):
     """Order a set of line bundles into a strongly exceptional collection.
 
     Orientation "j before k" is admissible when H^*(d_j - d_k) vanishes
@@ -70,7 +70,7 @@ def find_strong_order(fan, bundles, box=None):
     classes = [divisor_class(fan, d) for d in bundles]
     if len(set(classes)) != len(classes):
         raise ValueError("bundles must be pairwise non-equivalent")
-    o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays), box=box)
+    o_table = line_bundle_cohomology(fan, tuple(0 for _ in fan.rays))
     if not o_table.higher_vanish():
         raise NotExceptionalMember(
             f"structure sheaf has higher cohomology {o_table.dims}")
@@ -79,7 +79,7 @@ def find_strong_order(fan, bundles, box=None):
     successors = [[] for _ in range(m)]
     indegree = [0] * m
     edges = set()
-    for j, k, t_jk, t_kj in _pair_tables(fan, bundles, box):
+    for j, k, t_jk, t_kj in _pair_tables(fan, bundles):
         j_first = not any(t_jk.dims) and t_kj.higher_vanish()
         k_first = not any(t_kj.dims) and t_jk.higher_vanish()
         if not j_first and not k_first:

@@ -39,6 +39,14 @@ def polytope_sections(fan, d):
     return count
 
 
+def doubled_radius_dims(monkeypatch, spec, d):
+    """Dims of O(d) on a fresh fan whose scans all run at 2 B(D)."""
+    bound = cohomology._degree_bound
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_degree_bound", lambda fan, a: 2 * bound(fan, a))
+        return line_bundle_cohomology(build_named(spec), d).dims
+
+
 def random_nef_divisors(rng, fan, amount):
     """Nef classes with randomised coefficients: nef picks plus principal shifts."""
     found = []
@@ -126,33 +134,20 @@ class TestLineBundles:
         table = line_bundle_cohomology(fan, (2, 1, 0))
         assert table.euler == sum((-1) ** i * h for i, h in enumerate(table.dims))
 
-    def test_fixed_box_override(self):
-        fan = projective_space(1)
-        adaptive = line_bundle_cohomology(fan, (-2, -1))
-        fixed = line_bundle_cohomology(fan, (-2, -1), box=2 * adaptive.box)
-        assert fixed.dims == adaptive.dims
-        assert fixed.box == 2 * adaptive.box
+    def test_fixed_box_override(self, monkeypatch):
+        # scanning at 2 B(D) gives the same dims as at B(D)
+        assert doubled_radius_dims(monkeypatch, "P:1", (-2, -1)) == \
+            line_bundle_cohomology(projective_space(1), (-2, -1)).dims
 
     def test_box_over_budget(self):
-        # (2R + 1)^n degrees above the point budget are refused, fixed or adaptive
-        fan = projective_space(2)
-        with pytest.raises(ValueError, match="budget"):
-            line_bundle_cohomology(fan, (3, 0, 0), box=2 ** 15)
-        with pytest.raises(ValueError, match="budget"):
-            line_bundle_cohomology(fan, (100000, 0, 0))
-        with pytest.raises(ValueError, match="budget"):
-            line_bundle_cohomology(projective_space(1), (0, 0), box=2 ** 29)
-
-    def test_float_box_is_refused(self):
-        # a float box raised a numpy TypeError in the scan on a fresh fan, and
-        # after box=1 it hit that table's memo entry, since 1.0 == 1
-        fan = projective_space(2)
-        with pytest.raises(ValueError, match="must be integers"):
-            line_bundle_cohomology(fan, (3, 0, 0), box=1.0)
-        table = line_bundle_cohomology(fan, (3, 0, 0), box=1)
-        with pytest.raises(ValueError, match="must be integers"):
-            line_bundle_cohomology(fan, (3, 0, 0), box=1.0)
-        assert line_bundle_cohomology(fan, (3, 0, 0), box=np.int64(1)) == table
+        # a proven radius whose (2B + 1)^n degrees are above the point budget
+        # is refused before the scan; on P^1, B = 2^29 is one degree over
+        for fan, d in ((projective_space(2), (2 ** 15, 0, 0)),
+                       (projective_space(2), (100000, 0, 0)),
+                       (projective_space(1), (2 ** 29, 0))):
+            assert (2 * cohomology._degree_bound(fan, d) + 1) ** fan.dim > 2 ** 30
+            with pytest.raises(ValueError, match="budget"):
+                line_bundle_cohomology(fan, d)
 
     def test_fractional_coefficients_are_refused(self):
         # int() truncated 0.5 to 0 and returned the table of O
@@ -183,15 +178,15 @@ class TestLineBundles:
                 assert table.higher_vanish(), (d, table.dims)
                 assert table.dims[0] == polytope_sections(fan, d)
 
-    def test_adaptive_box_agrees_with_doubled_fixed_box(self):
+    def test_adaptive_box_agrees_with_doubled_fixed_box(self, monkeypatch):
+        # scanning at 2 B(D) gives the same dims as at B(D)
         rng = random.Random(55)
         for spec in ["P:1", "P:2", "dP:3", "F:2", "Xd:3"]:
             fan = build_named(spec)
             for _ in range(6):
                 d = tuple(rng.randint(-2, 2) for _ in fan.rays)
-                adaptive = line_bundle_cohomology(fan, d)
-                fixed = line_bundle_cohomology(fan, d, box=2 * adaptive.box)
-                assert fixed.dims == adaptive.dims, (spec, d)
+                assert doubled_radius_dims(monkeypatch, spec, d) == \
+                    line_bundle_cohomology(fan, d).dims, (spec, d)
 
     def test_pushforward_finite_morphism_identity(self):
         # the degree-p map is finite, so cohomology is preserved:

@@ -13,8 +13,8 @@ SPECS = ["P:1", "P:2", "dP:3", "F:2", "Xd:3", "P:1*P:1", "P:2*P:1"]
 
 
 def cases(spec, fan):
-    """Seeded divisors, each with the adaptive box, one fixed box and the
-    proven radius B(D) as a fixed box."""
+    """Seeded divisors, each with the proven radius (None), one random
+    radius and B(D) itself as a fixed radius."""
     rng = random.Random(spec)
     span = 3 if fan.dim <= 2 else 2
     out = [(tuple(0 for _ in fan.rays), None)]
@@ -29,6 +29,13 @@ def cases(spec, fan):
 NAMED = {"P:1*dP:3": [((3, -3, 2, 0, -1, 2, 3, -2), None)]}
 
 
+def dims_at(monkeypatch, spec, d, radius):
+    """Dims of O(d) on a fresh fan whose scans all run at `radius`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_degree_bound", lambda fan, a: radius)
+        return line_bundle_cohomology(build_named(spec), d).dims
+
+
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("spec", SPECS + sorted(NAMED))
 def test_matches_oracle(spec, block, monkeypatch):
@@ -36,9 +43,13 @@ def test_matches_oracle(spec, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(cohomology, "_BLOCK", block)
     fan = build_named(spec)
-    for d, box in NAMED.get(spec) or cases(spec, fan):
-        table = line_bundle_cohomology(fan, d, box=box)
-        assert (table.dims, table.box) == oracle_cohomology(fan, d, box), (d, box)
+    for d, radius in NAMED.get(spec) or cases(spec, fan):
+        if radius is None:
+            table = line_bundle_cohomology(fan, d)
+            assert (table.dims, table.box) == oracle_cohomology(fan, d), d
+        else:
+            assert dims_at(monkeypatch, spec, d, radius) == box_scan(fan, d, radius)[0], \
+                (d, radius)
 
 
 @pytest.mark.parametrize("spec", SPECS + ["dP:3*dP:3", "P:1*dP:3"])
@@ -47,7 +58,7 @@ def test_proven_radius(spec):
     # past the largest contributing sup-norm T, so no contribution is cut off;
     # on the coordinate products the box is replayed from the factors' counts
     fan = build_named(spec)
-    for d in {d for d, box in cases(spec, fan) if box is None}:
+    for d in {d for d, radius in cases(spec, fan) if radius is None}:
         bound = cohomology._degree_bound(fan, d)
         dims, top = box_scan(fan, d, bound + 2)
         assert top <= bound, (d, bound, top)

@@ -1,6 +1,7 @@
 """Cohomology of coordinate products, scanned factor by factor, against the
 scan of the whole fan."""
 
+import functools
 import random
 
 import numpy as np
@@ -33,12 +34,21 @@ def moved_dp3_squared():
                base.max_cones)
 
 
-def unfactored(monkeypatch, make_fan, cases):
-    """Tables of a fresh fan with the factoring switched off."""
+def tables(monkeypatch, make_fan, cases, factored=True):
+    """Tables of the cases, with the factoring switched off unless
+    `factored`.  A case (d, None) is read at the proven radius on one fresh
+    fan, and a case (d, r) on a fresh fan of its own whose scans all run at
+    radius r."""
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "_coordinate_factors", lambda fan: None)
+        if not factored:
+            patch.setattr(cohomology, "_coordinate_factors", lambda fan: None)
         fan = make_fan()
-        return [line_bundle_cohomology(fan, d, box=box) for d, box in cases]
+        out = [line_bundle_cohomology(fan, d) for d, radius in cases if radius is None]
+        for d, radius in cases:
+            if radius is not None:
+                patch.setattr(cohomology, "_degree_bound", lambda fan, a: radius)
+                out.append(line_bundle_cohomology(make_fan(), d))
+        return out
 
 
 @pytest.mark.parametrize("spec", sorted(FACTORS))
@@ -83,5 +93,6 @@ def test_matches_unfactored_scan(spec, span, count, monkeypatch):
     for _ in range(count):
         d = tuple(rng.randint(-span, span) for _ in fan.rays)
         cases += [(d, None), (d, 0), (d, rng.randint(1, 2 if fan.dim > 5 else 4))]
-    factored = [line_bundle_cohomology(fan, d, box=box) for d, box in cases]
-    assert factored == unfactored(monkeypatch, lambda: build_named(spec), cases)
+    make_fan = functools.partial(build_named, spec)
+    assert tables(monkeypatch, make_fan, cases) == \
+        tables(monkeypatch, make_fan, cases, factored=False)

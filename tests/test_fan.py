@@ -234,6 +234,26 @@ class TestBuildNamed:
         assert len(fan.rays) == nrays
         assert len(fan.max_cones) == ncones
 
+    @pytest.mark.parametrize("spec", ["P:1", "P:4", "dP:1", "dP:2", "dP:3", "F:0", "F:3",
+                                      "Xd:3", "Xd:5", "Xd:7", "P:2*dP:3*Xd:3"])
+    def test_size_from_descriptor(self, spec):
+        # the limits read each factor's dimension and cone count off the
+        # descriptor; the product of the counts is the product fan's
+        sizes = [fan_module._named_size(part) for part in spec.split("*")]
+        fan = build_named(spec)
+        assert sum(d for d, _ in sizes) == fan.dim
+        assert np.prod([c for _, c in sizes]) == len(fan.max_cones)
+
+    def test_size_limits(self):
+        # Xd:13 (93,312 cones) and dP:3^7 (279,936) are under the cone limit,
+        # Xd:15 (559,872) is over it; nothing is built here
+        assert fan_module._named_size("Xd:13") == (13, 93312)
+        assert fan_module._named_size("Xd:15") == (15, 559872)
+        assert 6 ** 7 <= fan_module._MAX_CONES < 559872
+        assert fan_module._named_size("P:256") == (256, 257) and fan_module._MAX_DIM == 256
+        assert fan_module._named_size("Xd:999")[1] is None
+        assert fan_module._named_size("Xd:4") is None and fan_module._named_size("Q:3") is None
+
     @pytest.mark.parametrize("bad", ["Xd:4", "dP:0", "P:0", "Q:3", "P:", "", "Xd:3**P:1"])
     def test_rejects(self, bad):
         with pytest.raises(InvalidSpec):
@@ -246,6 +266,13 @@ class TestValidate:
         fan = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(NotUnimodular, match=r"cone \(0, 2\) has determinant -2"):
             fan.cone_inverses
+
+    def test_ray_in_no_maximal_cone(self):
+        # checks 1-4 pass on P^2's cones; the fifth finds the unused ray
+        fan = Fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+        report = validate(fan)
+        assert report.smooth and not report.complete
+        assert report.messages == ("ray 3 (1, 1) lies in no maximal cone",)
 
     def test_named_all_valid(self):
         for spec in ["P:1", "P:3", "dP:1", "dP:2", "dP:3", "F:2", "Xd:3", "P:1*dP:3"]:

@@ -1,5 +1,6 @@
 """Property tests of the exact completeness criterion in `validate`, of the
-cone counts behind the Poincare polynomial, and of line-bundle cohomology.
+cone counts behind the Poincare polynomial, of line-bundle cohomology and
+of the Frobenius splitting of O.
 
 Complete fans come from star subdivisions of named fans and from toric
 blow-ups of unimodular 2-D cycles that wind once; multi-fans come from the
@@ -7,7 +8,8 @@ same blow-ups of a cycle that winds twice (Hattori-Masuda).  The winding
 number is computed here, independently of the library.  Cohomology tables
 of star subdivisions are checked degree by degree against the oracle, and
 tables on products of blown-up cycles, whose face complexes are joins,
-against the Kunneth formula.
+against the Kunneth formula.  Star subdivisions also check Serre duality
+and the invariants of the splitting of O at p = 2 and 3.
 """
 
 import math
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from cohomology_oracle import box_scan, oracle_cohomology
 from toricsplit import cohomology
 from toricsplit.cohomology import line_bundle_cohomology
+from toricsplit.divisor import canonical_divisor
 from toricsplit.fan import (
     Fan,
     _face_counts,
@@ -28,6 +31,7 @@ from toricsplit.fan import (
     poincare_polynomial,
     validate,
 )
+from toricsplit.frobenius import thomsen_split, verify_splitting_invariants
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 FEW = settings(SETTINGS, max_examples=12)
@@ -159,6 +163,25 @@ def test_star_subdivision_cohomology_matches_oracle(data):
     assert box_scan(fan, d, bound + 1)[1] <= bound
     table = line_bundle_cohomology(fan, d)
     assert (table.dims, table.box) == oracle_cohomology(fan, d)
+
+
+@FEW
+@given(st.data())
+def test_star_subdivision_serre_duality(data):
+    # h^i(D) = h^{n-i}(K - D)
+    fan = data.draw(star_subdivisions())
+    d = data.draw(divisors(fan, 1))
+    dual = tuple(k - a for k, a in zip(canonical_divisor(fan), d))
+    assert line_bundle_cohomology(fan, d).dims == \
+        line_bundle_cohomology(fan, dual).dims[::-1]
+
+
+@FEW
+@given(star_subdivisions(), st.sampled_from([2, 3]))
+def test_star_subdivision_splitting_invariants(fan, p):
+    # the multiplicity, c1 and base-cone identities of the splitting of O
+    report = verify_splitting_invariants(thomsen_split(fan, tuple(0 for _ in fan.rays), p))
+    assert report.ok, report.messages
 
 
 @FEW

@@ -44,9 +44,9 @@ def test_incomplete_fan_raises_on_every_call():
 def test_equal_arguments_do_not_collide():
     fan = build_named("dP:3")
     a = (1, 0, -1, 0, 2, 0)
-    scan = cohomology._scan(fan, a, None)
-    table = cohomology._table(fan, a, None)
+    scan = cohomology._scan(fan, a)
+    table = cohomology._table(fan, a)
     assert isinstance(scan, tuple)
     assert isinstance(table, cohomology.CohomologyTable)
-    assert cohomology._scan(fan, a, None) is scan
-    assert cohomology._table(fan, a, None) is table
+    assert cohomology._scan(fan, a) is scan
+    assert cohomology._table(fan, a) is table
