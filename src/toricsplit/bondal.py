@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fan import _wall_arrays, walls
-from .lattice import NotUnimodular
+from .lattice import NotUnimodular, _exact_matmul, _narrow
 
 
 class BasisDegenerate(RuntimeError):
@@ -38,27 +38,21 @@ def _coefficients(fan, inverses, plus_cone, u_plus, u_minus, plus_column,
 
     Row w solves u_minus = -u_plus - sum a_i u_i in the basis of its plus
     cone: the coordinates of u_minus are rays[u_minus] @ inverses[plus_cone],
-    the one in `plus_column` must be -1, and the ones in `columns` (those of
-    `wall_rays`), negated, are the a_i.  With e the largest |ray entry| and
-    c = dim * e * (largest |inverse entry|), which bounds every coordinate,
-    every partial sum of the relation stays below e * (2 + (dim - 1) * c);
-    the products run in int64 when that is below 2^63 and in Python ints
-    otherwise.  Raises BasisDegenerate at the first wall whose u_plus
-    coordinate is not -1 or whose relation does not close.
+    read from the product of the rays with every cone inverse, the one in
+    `plus_column` must be -1, and the ones in `columns` (those of
+    `wall_rays`), negated, are the a_i.  The relation's sum is one product
+    of its coefficients, a row over all rays, with the rays.  Raises
+    BasisDegenerate at the first wall whose u_plus coordinate is not -1 or
+    whose relation does not close.
     """
-    n = fan.dim
-    e = int(np.abs(fan.ray_matrix).max())
-    c = n * e * int(np.abs(inverses).max(initial=0))
-    dtype = np.int64 if e * (2 + (n - 1) * c) < 2 ** 63 else object
-    rays, inverses = fan.ray_matrix.astype(dtype), inverses.astype(dtype)
-    coords = np.zeros((len(plus_cone), n), dtype=dtype)
-    for i in range(n):
-        coords += rays[u_minus, i][:, None] * inverses[plus_cone, i]
+    rays = _narrow(fan.ray_matrix)
+    coords = _exact_matmul(rays, inverses)[plus_cone, u_minus]
     rows = np.arange(len(plus_cone))
     coeffs = -coords[rows[:, None], columns]
-    total = rays[u_plus] + rays[u_minus]
-    for t in range(n - 1):
-        total += coeffs[:, t, None] * rays[wall_rays[:, t]]
+    terms = np.zeros((len(rows), len(rays)), dtype=coeffs.dtype)
+    terms[rows[:, None], wall_rays] = coeffs
+    terms[rows, u_plus] = terms[rows, u_minus] = 1
+    total = _exact_matmul(terms, rays)
     plus = coords[rows, plus_column]
     wrong = (plus != -1).astype(bool)
     failed = np.flatnonzero(wrong | (total != 0).astype(bool).any(axis=1))
@@ -116,17 +110,14 @@ def bondal_criterion(fan):
     """Evaluate the criterion on every wall; violations carry full relations.
 
     All relations come from one batched call of the `wall_relation` kernel
-    on the wall table and the stacked cone inverses, det * adj; the
-    admissibility test is one array pass.
+    on the wall table and the stacked cone inverses; the admissibility test
+    is one array pass.
     """
     all_walls = walls(fan)
     if not all_walls:
         return BondalVerdict(True, (), ())
-    dets, adjs = fan.cone_adjugates
-    if (abs(dets) != 1).any():
-        _smooth_inverses(fan, all_walls[0])  # raises BasisDegenerate
     a = _wall_arrays(fan)
-    coeffs = _coefficients(fan, dets[:, None, None] * adjs, a.plus_cone, a.u_plus,
+    coeffs = _coefficients(fan, _smooth_inverses(fan, all_walls[0]), a.plus_cone, a.u_plus,
                            a.u_minus, a.plus_column, a.rays, a.columns)
     admissible = ((coeffs >= -1).all(axis=1) & ((coeffs == -1).sum(axis=1) <= 1)).astype(bool)
     relations = tuple(WallRelation(w, tuple(c)) for w, c in zip(all_walls, coeffs.tolist()))

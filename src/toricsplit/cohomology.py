@@ -295,14 +295,6 @@ def _extension_blocks(subsets, count):
             yield np.column_stack([part[rows], tail[rows] + 1 + np.arange(len(rows)) - first[rows]])
 
 
-def _int64_if_fits(a):
-    """An exact integer array in int64 when every entry fits, else unchanged."""
-    try:
-        return a.astype(np.int64)
-    except OverflowError:
-        return a
-
-
 @_per_fan
 def _vertex_data(fan):
     """(J, det B_J, adj B_J) for every independent n-subset J, in
@@ -316,8 +308,8 @@ def _vertex_data(fan):
     however many there are.  All eliminations are `lattice._bareiss`.
     """
     count = len(fan.rays)
-    rays = _int64_if_fits(fan.ray_matrix)
-    gram = _int64_if_fits(fan.ray_matrix @ fan.ray_matrix.T)
+    rays = lattice._narrow(fan.ray_matrix)
+    gram = lattice._exact_matmul(rays, rays.T)
     level = np.empty((1, 0), dtype=np.intp)
     for k in range(1, fan.dim):
         parts = [np.empty((0, k), dtype=np.intp)]
@@ -340,12 +332,9 @@ def _degree_bound(fan, a):
     are adj_J @ (-a_J) / det_J; B(D) is the floor of their largest norm.
     """
     subsets, dets, adjs = _vertex_data(fan)
-    if adjs.dtype != object and \
-            fan.dim * int(np.abs(adjs).max(initial=0)) * max(map(abs, a)) >= 2 ** 62:
-        adjs, dets = adjs.astype(object), dets.astype(object)
-    rhs = -np.array(a, dtype=adjs.dtype)[subsets]
-    numerators = np.abs((adjs @ rhs[:, :, None])[:, :, 0]).max(axis=1, initial=0)
-    return int((numerators // np.abs(dets)).max(initial=0))
+    rhs = lattice._narrow(-np.array(a, dtype=object))[subsets]
+    numerators = np.abs(lattice._exact_matmul(adjs, rhs[:, :, None])[:, :, 0])
+    return int((numerators.max(axis=1, initial=0) // np.abs(dets)).max(initial=0))
 
 
 @_per_fan

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fan import _integers, _per_fan
-from .lattice import as_vector, smith_normal_form, solve_integral
+from .lattice import _exact_matmul, _narrow, as_vector, smith_normal_form, solve_integral
 
 
 class TorsionDetected(RuntimeError):
@@ -40,16 +40,11 @@ def principal_divisor(fan, m):
 
 
 def _cartier(fan, a):
-    """Rows m_sigma = (det * adj) @ -a_sigma over the stacked cone adjugates, in int64
-    when dim^2 max|inverse| max|a_j| max|v_j|, which bounds <m_sigma, v_j>, is < 2^62."""
-    dets, adjs = fan.cone_adjugates
-    if (abs(dets) != 1).any():
-        fan.cone_inverses  # raises NotUnimodular
-    inverses = dets[:, None, None] * adjs
-    bound = fan.dim ** 2 * int(np.abs(inverses).max(initial=1)) * max(map(abs, a), default=0)
-    dtype = np.int64 if bound * int(np.abs(fan.ray_matrix).max()) < 2 ** 62 else object
+    """Rows m_sigma = inverse_sigma @ -a_sigma over the stacked cone inverses;
+    raises NotUnimodular unless the fan is smooth."""
     cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim)
-    return (inverses.astype(dtype) @ -np.array(a, dtype=dtype)[cones][:, :, None])[:, :, 0]
+    rhs = _narrow(-np.array(a, dtype=object))[cones]
+    return _exact_matmul(fan.cone_inverses, rhs[:, :, None])[:, :, 0]
 
 
 def cartier_data(fan, divisor):
@@ -104,14 +99,16 @@ def positivity(fan, divisor, mode):
     """Nef/ample test by convexity of the Cartier data.
 
     ample:  <m_sigma, v_j> > -a_j for every maximal cone and every ray not
-    in the cone; nef: the same with >=.  All pairings come from one array
-    product; the witness is the first violating pair, cones first.
+    in the cone; nef: the same with >=.  All <m_sigma, v_j> + a_j come from
+    one product [m | 1] @ [rays^T ; a]; the witness is the first violating
+    pair, cones first.
     """
     if mode not in ("nef", "ample"):
         raise ValueError(f"mode must be 'nef' or 'ample', got {mode!r}")
     a = _coeffs(fan, divisor)
     m = _cartier(fan, a)
-    values = m @ fan.ray_matrix.T.astype(m.dtype) + np.array(a, dtype=m.dtype)
+    values = _exact_matmul(np.column_stack([m, np.ones(len(m), dtype=np.int64)]),
+                           np.vstack([fan.ray_matrix.T, np.array(a, dtype=object)]))
     bad = values <= 0 if mode == "ample" else values < 0
     np.put_along_axis(bad, np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim), False, 1)
     hits = np.argwhere(bad)

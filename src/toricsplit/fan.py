@@ -17,7 +17,7 @@ from functools import cache, cached_property, wraps
 
 import numpy as np
 
-from .lattice import NotUnimodular, _bareiss, as_matrix
+from .lattice import NotUnimodular, _bareiss, _exact_matmul, _fits_elimination, as_matrix
 
 
 class InvalidSpec(ValueError):
@@ -118,12 +118,13 @@ class Fan:
 
     @cached_property
     def cone_inverses(self):
-        """Inverse of each cone matrix; raises NotUnimodular unless the fan is smooth."""
+        """(#cones, dim, dim) stack of the inverses det * adj, in the dtype of
+        `cone_adjugates`; raises NotUnimodular unless the fan is smooth."""
         dets, adjs = self.cone_adjugates
         for cone, det in zip(self.max_cones, dets.tolist()):
             if det not in (1, -1):
                 raise NotUnimodular(f"cone {cone} has determinant {det}")
-        return tuple((dets[:, None, None] * adjs).astype(object))
+        return dets[:, None, None] * adjs
 
     @cached_property
     def face_complex(self):
@@ -410,6 +411,7 @@ def fan_product(f1, f2):
 _DESCRIPTOR = re.compile(r"^([A-Za-z]+):?(\d+)$")
 _MAX_DIM = 2 ** 8
 _MAX_CONES = 2 ** 19
+_MAX_EXACT_WORK = 2 ** 25
 
 
 def build_named(spec):
@@ -417,11 +419,14 @@ def build_named(spec):
 
     The colon is optional (P2 == P:2); products multiply left to right.  A
     descriptor of dimension above _MAX_DIM or with more than _MAX_CONES
-    maximal cones is refused with InvalidSpec before anything is built.
+    maximal cones is refused with InvalidSpec before anything is built, and
+    so is one whose cone elimination would run in Python ints (the rule of
+    `lattice._bareiss`) at a cost #cones * dim^3 above _MAX_EXACT_WORK.
     """
     spec = spec.strip()
     parts = [part.strip() for part in spec.split("*")]
-    sizes = [size for size in map(_named_size, parts) if size]
+    named = [part for part in parts if _named_size(part)]
+    sizes = list(map(_named_size, named))
     dim = sum(d for d, _ in sizes)
     if dim > _MAX_DIM:
         raise InvalidSpec(f"variety {spec!r} has dimension {dim}, "
@@ -430,6 +435,11 @@ def build_named(spec):
     if cones > _MAX_CONES:
         raise InvalidSpec(f"variety {spec!r} has {cones} maximal cones, "
                           f"more than the limit of {_MAX_CONES}")
+    # every named ray has entries in {-1, 0, 1}, except -e0 + a*e1 on F:a
+    entry = max([1] + [num for kind, num in map(_parse, named) if kind == "F"])
+    if cones * dim ** 3 > _MAX_EXACT_WORK and not _fits_elimination(dim, entry):
+        raise InvalidSpec(f"variety {spec!r} needs Python-int work #cones * dim^3 = "
+                          f"{cones * dim ** 3}, more than the limit of {_MAX_EXACT_WORK}")
     fan = _build_one(parts[0])
     for part in parts[1:]:
         fan = fan_product(fan, _build_one(part))
@@ -524,24 +534,6 @@ def _facet_table(fan):
                        np.diff(np.append(starts, len(facets))))
 
 
-def _cones_containing(fan, point):
-    """Number of closed maximal cones that contain `point`.
-
-    The point's coordinates on a cone's rays are (point @ adj) / det, so
-    coordinate i has the sign of (point @ adj)[i] * det; (point @ adj)[i]
-    is Cramer's det(cone, row i replaced by the point).  Every cone
-    determinant must be nonzero.  The products run in int64 when
-    dim * max|point| * max|adj| < 2^63, and in Python ints otherwise.
-    """
-    dets, adjs = fan.cone_adjugates
-    point = np.array([int(x) for x in point], dtype=object)
-    bound = fan.dim * int(np.abs(point).max()) * int(np.abs(adjs).max(initial=0))
-    dtype = np.int64 if adjs.dtype != object and bound < 2 ** 63 else object
-    coords = point.astype(dtype) @ adjs.astype(dtype)
-    inside = np.where((dets > 0).astype(bool)[:, None], coords >= 0, coords <= 0)
-    return int(inside.astype(bool).all(axis=1).sum())
-
-
 @_per_fan
 def validate(fan):
     """Check smoothness and completeness; simpliciality holds by representation.
@@ -558,7 +550,8 @@ def validate(fan):
 
     1 and 4 read the cones' determinants and adjugates, which one batched
     exact elimination of all cone matrices computes and `Fan.cone_adjugates`
-    caches; 2 and 3 read the sorted facet table.  The side of cone C at a
+    caches: a point's coordinates on a cone's rays are (point @ adj) / det.
+    2 and 3 read the sorted facet table.  The side of cone C at a
     wall is whether det(wall rays, u) > 0, u the ray of C off the wall:
     moving u from its sorted place in C to the last row takes one row swap
     per wall ray above u.  A fan without maximal cones is not complete.
@@ -602,7 +595,8 @@ def validate(fan):
             messages.append(f"the two cones at wall {facet} lie on the same side of it")
     if complete:
         point = sum(fan.ray_matrix[j] for j in fan.max_cones[0])
-        count = _cones_containing(fan, point)
+        coords = _exact_matmul(point, fan.cone_adjugates[1])
+        count = int(np.where((det_array > 0)[:, None], coords >= 0, coords <= 0).all(axis=1).sum())
         if count != 1:
             complete = False
             messages.append(f"point {tuple(int(x) for x in point)} of cone "
@@ -687,11 +681,11 @@ def primitive_collections(fan):
 
 def _relation_for(fan, combo):
     """The relation of `combo`: its ray sum in the basis of the first maximal
-    cone that contains the sum, from one product over the cone inverses."""
+    cone that contains the sum, from one product with the cone inverses."""
     s = fan.ray_matrix[list(combo)].sum(axis=0)
     if not s.any():
         return PrimitiveCollection(combo, (), ())
-    lam = np.stack(fan.cone_inverses).transpose(0, 2, 1) @ s
+    lam = _exact_matmul(s, fan.cone_inverses)
     inside = np.flatnonzero((lam >= 0).astype(bool).all(axis=1))
     if not len(inside):
         raise ConstructionFailed(

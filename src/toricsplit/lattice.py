@@ -2,10 +2,11 @@
 
 Everything here works over Z without silent overflow.  Matrices and vectors
 are numpy arrays of dtype=object holding Python ints, so intermediate values
-(Smith multipliers in particular) can grow freely; the one exception is the
-batched determinant and adjugate elimination `_bareiss`, which runs in int64
-when a Hadamard bound proves every value it writes fits, and in Python ints
-otherwise.  Matrices are row-major; a vector is a 1-d array.
+(Smith multipliers in particular) can grow freely.  int64 results come only
+from the batched elimination `_bareiss` and the product `_exact_matmul`, each
+when a checked bound proves every value fits, and from `_narrow`; no other
+module chooses between int64 and Python ints.  Matrices are row-major; a
+vector is a 1-d array.
 """
 
 import math
@@ -47,7 +48,31 @@ def identity(n):
     return m
 
 
-_MINOR_LIMIT = 2 ** 31
+def _narrow(a):
+    """An exact integer array in int64 when every entry fits, else unchanged."""
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return a
+
+
+def _largest(a):
+    """The largest |entry| of an integer array, as a Python int (0 if empty)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _exact_matmul(a, b):
+    """a @ b exactly, with numpy's broadcasting, for int64 or object arrays:
+    in int64 when k * max|a| * max|b| < 2^63 (k = a.shape[-1], each maximum
+    taken at least 1), which bounds every partial sum, else in Python ints."""
+    bound = a.shape[-1] * max(_largest(a), 1) * max(_largest(b), 1)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
+def _fits_elimination(n, e):
+    """Whether `_bareiss` runs in int64 on n x n matrices of largest |entry| e."""
+    return (math.isqrt(n * e * e) + 1) ** n < 2 ** 31
 
 
 def _bareiss(mats, adjugates):
@@ -75,8 +100,7 @@ def _bareiss(mats, adjugates):
     otherwise in Python ints.
     """
     k, n = len(mats), mats.shape[1]
-    e = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
-    dtype = np.int64 if (math.isqrt(n * e * e) + 1) ** n < _MINOR_LIMIT else object
+    dtype = np.int64 if _fits_elimination(n, _largest(mats)) else object
     # a[row, column, matrix]: every update runs along the stack, contiguously
     a = np.zeros((n, 2 * n if adjugates else n, k), dtype=dtype)
     a[:, :n] = mats.transpose(1, 2, 0)

@@ -30,10 +30,8 @@ def box_scan(fan, a, radius):
     return tuple(hs), top
 
 
-def oracle_cohomology(fan, a, box=None):
+def oracle_cohomology(fan, a):
     """(dims, box) as line_bundle_cohomology reports them."""
-    if box is not None:
-        return box_scan(fan, a, box)[0], box
     radius = 1 + max(abs(x) for x in a) * max(abs(x) for r in fan.rays for x in r)
     hs, top = box_scan(fan, a, radius)
     while top >= radius - 1:

@@ -282,11 +282,12 @@ class TestBadInput:
 
     @pytest.mark.parametrize("descriptor", [
         "Xd:99", "Xd:15", "P:99999999999999999999", "P:257", "*".join(["dP:3"] * 8),
-        "P:" + "9" * 5000])
+        "P:" + "9" * 5000, "P:256", "P:120"])
     def test_descriptor_over_limits(self, descriptor):
-        # Xd:99 ended in a numpy memory error and P:99999999999999999999 was
-        # killed for memory: each is refused before any fan is built, here
-        # checked under a 1 GiB address-space cap
+        # Xd:99 ended in a numpy memory error, P:99999999999999999999 was
+        # killed for memory, P:256 ended in a numpy memory error in the cone
+        # elimination and P:120 took about 20 s: each is refused before any
+        # fan is built, here checked under a 1 GiB address-space cap
         script = ("import resource, sys, time; "
                   "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                   "from toricsplit.cli import main; "

@@ -254,6 +254,20 @@ class TestBuildNamed:
         assert fan_module._named_size("Xd:999")[1] is None
         assert fan_module._named_size("Xd:4") is None and fan_module._named_size("Q:3") is None
 
+    def test_exact_work_limit(self, monkeypatch):
+        # Xd:13, dP:3^7 and F:1 x dP:3^6 eliminate their cones in int64, and
+        # P:64 in Python ints at 65 * 64^3 < 2^25; the entry 3 of F:3 puts
+        # F:3 x dP:3^6 in Python ints at 4 * 6^6 * 14^3 > 2^28.  Nothing is
+        # built here.
+        monkeypatch.setattr(fan_module, "_build_one", lambda part: part)
+        monkeypatch.setattr(fan_module, "fan_product", lambda f1, f2: f2)
+        dp6 = "*".join(["dP:3"] * 6)
+        for spec in ("Xd:13", "dP:3*" + dp6, "P:64", "F:1*" + dp6):
+            build_named(spec)
+        for spec in ("P:80", "P:24*P:24", "P:256", "F:3*" + dp6):
+            with pytest.raises(InvalidSpec, match="Python-int work"):
+                build_named(spec)
+
     @pytest.mark.parametrize("bad", ["Xd:4", "dP:0", "P:0", "Q:3", "P:", "", "Xd:3**P:1"])
     def test_rejects(self, bad):
         with pytest.raises(InvalidSpec):

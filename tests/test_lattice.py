@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -335,3 +336,64 @@ class TestRank:
             _, s, _ = smith_normal_form(m)
             snf_rank = sum(1 for i in range(min(r, c)) if s[i, i] != 0)
             assert rank(m) == snf_rank
+
+
+def python_product(a, b):
+    """a @ b by numpy's shape rules, each entry a sum of Python int products."""
+    rows = a[None] if a.ndim == 1 else a
+    stack = np.broadcast_shapes(rows.shape[:-2], b.shape[:-2])
+    left = np.broadcast_to(rows, stack + rows.shape[-2:])
+    right = np.broadcast_to(b, stack + b.shape[-2:])
+    out = np.empty(stack + (rows.shape[-2], b.shape[-1]), dtype=object)
+    for *s, i, j in np.ndindex(*out.shape):
+        pairs = zip(left[(*s, i)], right[(*s, slice(None), j)])
+        out[(*s, i, j)] = sum(int(x) * int(y) for x, y in pairs)
+    return out[..., 0, :] if a.ndim == 1 else out
+
+
+@st.composite
+def product_operands(draw):
+    """Operands in the shapes the library multiplies, 1-d @ 3-d, 2-d @ 3-d,
+    3-d @ 3-d and 2-d @ 2-d, stacks possibly empty, with the largest |entry|
+    of each placed so that k * max|a| * max|b| is below, at or above 2^63."""
+    k, stack = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shapes = draw(st.sampled_from([((k,), (stack, k, cols)), ((rows, k), (stack, k, cols)),
+                                   ((stack, rows, k), (stack, k, cols)), ((rows, k), (k, cols))]))
+    top_a = draw(st.sampled_from([0, 1, 7, 2 ** 31, 2 ** 62, 2 ** 63, 2 ** 70]))
+    below = (2 ** 63 - 1) // (k * max(top_a, 1))  # the largest max|b| under the bound
+    top_b = draw(st.sampled_from([0, 1, below, below + 1, 2 ** 63, 2 ** 66]))
+    operands = []
+    for shape, top in zip(shapes, (top_a, top_b)):
+        size = math.prod(shape)
+        values = [draw(st.integers(-top, top)) for _ in range(size)]
+        if size:
+            values[draw(st.integers(0, size - 1))] = draw(st.sampled_from([top, -top]))
+        operands.append(np.array(values, dtype=object).reshape(shape))
+    return operands
+
+
+class TestExactMatmul:
+    """The checked product against Python-int sums, on both dtypes."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(product_operands())
+    @example([np.array([2 ** 31], dtype=object), np.full((1, 1, 1), 2 ** 32, dtype=object)])
+    @example([np.array([2 ** 31], dtype=object), np.full((1, 1, 1), 2 ** 32 - 1, dtype=object)])
+    def test_against_python_sums(self, operands):
+        a, b = operands
+        expected = python_product(a, b)
+        largest = [max((abs(x) for x in m.flat), default=0) for m in (a, b)]
+        fits = a.shape[-1] * max(largest[0], 1) * max(largest[1], 1) < 2 ** 63
+        variants = [[m] + ([m.astype(np.int64)] if all(-2 ** 63 <= x < 2 ** 63 for x in m.flat)
+                           else []) for m in (a, b)]
+        for x, y in itertools.product(*variants):
+            got = lattice._exact_matmul(x, y)
+            assert got.dtype == (np.int64 if fits else object)
+            assert got.shape == expected.shape and got.tolist() == expected.tolist()
+
+    def test_narrow(self):
+        edge = np.array([2 ** 63 - 1, -2 ** 63], dtype=object)
+        assert lattice._narrow(edge).dtype == np.int64
+        assert lattice._narrow(edge).tolist() == edge.tolist()
+        assert lattice._narrow(edge - 1).dtype == object
