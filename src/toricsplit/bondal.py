@@ -6,13 +6,18 @@ intersection numbers of the wall's divisors with the corresponding toric
 curve.  The criterion asks that every relation have all a_i >= -1 with at
 most one equal to -1; fans passing it are the candidates whose Frobenius
 summands order into a strongly exceptional collection.
+
+All relations of a fan come from one memoised array kernel, `_relations`:
+the wall table, one coefficient row per wall and the inadmissible rows.
+`bondal_criterion` wraps its rows into `WallRelation` objects; the CLI
+reads the arrays directly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fan import _wall_arrays, walls
+from .fan import _per_fan, _wall_arrays, walls
 from .lattice import NotUnimodular, _exact_matmul, _narrow
 
 
@@ -66,13 +71,13 @@ def _coefficients(fan, inverses, plus_cone, u_plus, u_minus, plus_column,
     return coeffs
 
 
-def _smooth_inverses(fan, wall):
-    """The cone inverses; BasisDegenerate, naming `wall`, on a fan that is not smooth."""
+def _smooth_inverses(fan, rays):
+    """The cone inverses; BasisDegenerate, naming the wall `rays`, on a fan
+    that is not smooth."""
     try:
         return fan.cone_inverses
     except NotUnimodular as exc:
-        raise BasisDegenerate(
-            f"wall {wall.rays}: the fan is not smooth ({exc})") from exc
+        raise BasisDegenerate(f"wall {rays}: the fan is not smooth ({exc})") from exc
 
 
 def wall_relation(fan, wall):
@@ -81,13 +86,13 @@ def wall_relation(fan, wall):
     The basis consists of the rays of the plus cone, so the coordinates of
     u_minus come from that cone's cached exact inverse, which exists on a
     smooth fan; the u_plus coordinate must be -1.  This is a one-row call of
-    the kernel `bondal_criterion` runs on all walls at once.
+    the kernel `_relations` runs on all walls at once.
     """
     cone = fan.max_cones[wall.plus_cone]
     if set(cone) != {*wall.rays, wall.u_plus}:
         raise BasisDegenerate(
             f"wall {wall.rays} with u_plus {wall.u_plus}: plus cone is {cone}")
-    inverse = _smooth_inverses(fan, wall)[wall.plus_cone]
+    inverse = _smooth_inverses(fan, wall.rays)[wall.plus_cone]
     n = fan.dim
     coeffs = _coefficients(
         fan, inverse[None], [0], [wall.u_plus], [wall.u_minus], [cone.index(wall.u_plus)],
@@ -106,20 +111,34 @@ class BondalVerdict:
         return self.passed
 
 
+@_per_fan
+def _relations(fan):
+    """(walls, coeffs, inadmissible) of every wall of the fan, as arrays.
+
+    `walls` is the fan's `_WallArrays`, `coeffs` one relation row per wall
+    from one batched `_coefficients` call on the stacked cone inverses, in
+    their dtype, and `inadmissible` the rows, in order, that fail the
+    criterion.  Raises NotComplete, then BasisDegenerate naming the first
+    wall; a fan without walls has no rows.
+    """
+    a = _wall_arrays(fan)
+    if not len(a.plus_cone):
+        return a, np.zeros((0, fan.dim - 1), dtype=np.int64), np.zeros(0, dtype=np.intp)
+    inverses = _smooth_inverses(fan, tuple(a.rays[0].tolist()))
+    coeffs = _coefficients(fan, inverses, a.plus_cone, a.u_plus, a.u_minus,
+                           a.plus_column, a.rays, a.columns)
+    admissible = ((coeffs >= -1).all(axis=1) & ((coeffs == -1).sum(axis=1) <= 1)).astype(bool)
+    return a, coeffs, np.flatnonzero(~admissible)
+
+
 def bondal_criterion(fan):
     """Evaluate the criterion on every wall; violations carry full relations.
 
-    All relations come from one batched call of the `wall_relation` kernel
-    on the wall table and the stacked cone inverses; the admissibility test
-    is one array pass.
+    The relations are the rows of `_relations`, one batched array pass over
+    all walls, wrapped into `WallRelation` objects in the order of
+    `walls(fan)`.
     """
-    all_walls = walls(fan)
-    if not all_walls:
-        return BondalVerdict(True, (), ())
-    a = _wall_arrays(fan)
-    coeffs = _coefficients(fan, _smooth_inverses(fan, all_walls[0]), a.plus_cone, a.u_plus,
-                           a.u_minus, a.plus_column, a.rays, a.columns)
-    admissible = ((coeffs >= -1).all(axis=1) & ((coeffs == -1).sum(axis=1) <= 1)).astype(bool)
-    relations = tuple(WallRelation(w, tuple(c)) for w, c in zip(all_walls, coeffs.tolist()))
-    violations = tuple(relations[i] for i in np.flatnonzero(~admissible))
+    _, coeffs, inadmissible = _relations(fan)
+    relations = tuple(WallRelation(w, tuple(c)) for w, c in zip(walls(fan), coeffs.tolist()))
+    violations = tuple(relations[i] for i in inadmissible)
     return BondalVerdict(not violations, relations, violations)

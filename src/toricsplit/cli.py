@@ -251,16 +251,14 @@ def _cmd_frobenius(args):
 
 def _cmd_bondal(args):
     fan = _load_fan(args)
-    verdict = bondal_mod.bondal_criterion(fan)
-    violations = [{
-        "rays": list(rel.wall.rays),
-        "u_plus": rel.wall.u_plus,
-        "u_minus": rel.wall.u_minus,
-        "coeffs": list(rel.coeffs),
-    } for rel in verdict.violations]
-    payload = {"pass": verdict.passed, "walls": len(verdict.relations),
-               "violations": violations}
-    return payload, 0 if verdict.passed else 1
+    # the rows of bondal_criterion, read from its arrays without per-wall objects
+    walls, coeffs, bad = bondal_mod._relations(fan)
+    violations = [{"rays": rays, "u_plus": u_plus, "u_minus": u_minus, "coeffs": row}
+                  for rays, u_plus, u_minus, row in zip(
+                      walls.rays[bad].tolist(), walls.u_plus[bad].tolist(),
+                      walls.u_minus[bad].tolist(), coeffs[bad].tolist())]
+    payload = {"pass": not violations, "walls": len(coeffs), "violations": violations}
+    return payload, 1 if violations else 0
 
 
 def _cmd_cohomology(args):

@@ -42,8 +42,7 @@ def principal_divisor(fan, m):
 def _cartier(fan, a):
     """Rows m_sigma = inverse_sigma @ -a_sigma over the stacked cone inverses;
     raises NotUnimodular unless the fan is smooth."""
-    cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim)
-    rhs = _narrow(-np.array(a, dtype=object))[cones]
+    rhs = _narrow(-np.array(a, dtype=object))[fan.cone_indices]
     return _exact_matmul(fan.cone_inverses, rhs[:, :, None])[:, :, 0]
 
 
@@ -110,7 +109,7 @@ def positivity(fan, divisor, mode):
     values = _exact_matmul(np.column_stack([m, np.ones(len(m), dtype=np.int64)]),
                            np.vstack([fan.ray_matrix.T, np.array(a, dtype=object)]))
     bad = values <= 0 if mode == "ample" else values < 0
-    np.put_along_axis(bad, np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim), False, 1)
+    np.put_along_axis(bad, fan.cone_indices, False, 1)
     hits = np.argwhere(bad)
     if len(hits):
         return PositivityReport(False, mode, tuple(hits[0].tolist()))

@@ -17,7 +17,8 @@ from functools import cache, cached_property, wraps
 
 import numpy as np
 
-from .lattice import NotUnimodular, _bareiss, _exact_matmul, _fits_elimination, as_matrix
+from .lattice import (NotUnimodular, _bareiss, _exact_matmul, _fits_elimination, _narrow,
+                      as_matrix)
 
 
 class InvalidSpec(ValueError):
@@ -104,10 +105,16 @@ class Fan:
         return as_matrix(self.rays)
 
     @cached_property
+    def cone_indices(self):
+        """(#cones, dim) intp array of the maximal cones' ray indices."""
+        return np.array(self.max_cones, dtype=np.intp).reshape(-1, self.dim)
+
+    @cached_property
     def cone_matrices(self):
-        """(#cones, dim, dim) object array: each maximal cone's rays as rows."""
-        cones = np.array(self.max_cones, dtype=np.intp).reshape(-1, self.dim)
-        return self.ray_matrix[cones]
+        """(#cones, dim, dim) array: each maximal cone's rays as rows, in
+        int64 when every ray entry fits (`lattice._narrow`), Python ints
+        otherwise."""
+        return _narrow(self.ray_matrix)[self.cone_indices]
 
     @cached_property
     def cone_adjugates(self):
@@ -521,8 +528,7 @@ def _kept_columns(n):
 
 @_per_fan
 def _facet_table(fan):
-    n = fan.dim
-    cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, n)
+    n, cones = fan.dim, fan.cone_indices
     facets = cones[:, _kept_columns(n)].reshape(len(cones) * n, n - 1)
     # np.lexsort takes the last key as primary and needs at least one key
     order = np.lexsort(facets.T[::-1]) if n > 1 else np.arange(len(facets))
@@ -603,7 +609,7 @@ def validate(fan):
                             f"{fan.max_cones[0]} lies in {count} maximal cones")
     if complete:
         used = np.zeros(len(fan.rays), dtype=bool)
-        used[np.array(fan.max_cones, dtype=np.intp)] = True
+        used[fan.cone_indices] = True
         for j in np.flatnonzero(~used)[:5].tolist():
             complete = False
             messages.append(f"ray {j} {fan.rays[j]} lies in no maximal cone")
@@ -729,7 +735,7 @@ def _face_counts(fan):
     The k-subsets are sorted rows of ray indices; after a lexicographic sort,
     each distinct row starts where it differs from its predecessor.
     """
-    cones = np.array(fan.max_cones, dtype=np.intp).reshape(-1, fan.dim)
+    cones = fan.cone_indices
     counts = [1]
     for k in range(1, fan.dim + 1):
         rows = cones[:, list(itertools.combinations(range(fan.dim), k))].reshape(-1, k)

@@ -82,8 +82,11 @@ def _bareiss(mats, adjugates):
     stack.  Step c swaps a row with a nonzero entry in column c up to row
     c, then replaces each later row r by (a_cc * r - a_rc * row c) /
     (previous pivot), exactly by Sylvester's identity; the last pivot is
-    the determinant up to the swaps' sign.  A matrix with no pivot in some
-    column has det 0 and is set to the identity for the remaining steps.
+    the determinant up to the swaps' sign.  At a step where every previous
+    pivot of the stack is +-1, as on unimodular cones, the division is a
+    multiplication by it, skipped when all are 1.  A matrix with no pivot
+    in some column has det 0 and is set to the identity for the remaining
+    steps.
 
     With `adjugates` the identity is appended and the rows above the pivot
     are updated too (Montante), so the appended block ends as the adjugate
@@ -127,7 +130,11 @@ def _bareiss(mats, adjugates):
         pivot_row = a[c].copy()
         low = 0 if adjugates else c + 1
         rest = pivot * a[low:, c + 1:stored] - a[low:, c:c + 1] * pivot_row[c + 1:stored]
-        a[low:, c + 1:stored] = rest // prev if c else rest
+        if (abs(prev) != 1).any():
+            rest //= prev
+        elif (prev != 1).any():
+            rest *= prev  # x // p == x * p when every p is +-1
+        a[low:, c + 1:stored] = rest
         a[c] = pivot_row
         if adjugates:
             a[:, stored] = -a[:, c]

@@ -268,6 +268,17 @@ class TestBuildNamed:
             with pytest.raises(InvalidSpec, match="Python-int work"):
                 build_named(spec)
 
+    @pytest.mark.parametrize("spec", ["P:1", "P:16", "dP:1", "dP:2", "dP:3", "F:0", "F:5",
+                                      "Xd:3", "Xd:9", "P:2*dP:3*Xd:3"])
+    def test_cone_matrices_in_int64(self, spec):
+        # the rays are narrowed before the gather, also on P:16, whose
+        # elimination runs in Python ints
+        fan = build_named(spec)
+        assert fan.cone_indices.tolist() == [list(c) for c in fan.max_cones]
+        assert fan.cone_matrices.dtype == np.int64
+        assert fan.cone_matrices.tolist() == [[list(fan.rays[j]) for j in c]
+                                              for c in fan.max_cones]
+
     @pytest.mark.parametrize("bad", ["Xd:4", "dP:0", "P:0", "Q:3", "P:", "", "Xd:3**P:1"])
     def test_rejects(self, bad):
         with pytest.raises(InvalidSpec):

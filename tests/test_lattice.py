@@ -135,6 +135,16 @@ def largest_int64_entry(n):
     return low
 
 
+def unit_pivot_matrix(rng, diagonal):
+    """L @ diag(diagonal) @ U with L, U random unitriangular: no row swaps,
+    and its j-th pivot is the product of the first j + 1 diagonal entries."""
+    n = len(diagonal)
+    lower, upper = identity(n), identity(n)
+    for i, j in itertools.combinations(range(n), 2):
+        lower[j, i], upper[i, j] = rng.randint(-1, 1), rng.randint(-1, 1)
+    return (lower @ np.diag(np.array(diagonal, dtype=object)) @ upper).tolist()
+
+
 @st.composite
 def square_stacks(draw):
     """A stack of n x n matrices mixing nonsingular, rank n-1, rank <= n-2
@@ -186,6 +196,34 @@ class TestBareiss:
             assert adjs.tolist() == [cofactor_adjugate(m) for m in mats]
             only_dets, none = lattice._bareiss(given_stack, False)
             assert none is None and only_dets.tolist() == dets.tolist()
+
+    @pytest.mark.parametrize("rule", ["int64", "object"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_unit_pivot_steps(self, monkeypatch, rule, n):
+        # the pivots of L @ diag @ U are the products of diag's prefixes: the
+        # unimodular ones are +-1 at every step, one matrix brings 2 and one
+        # -3 at later steps, and the zeros are singular, their previous
+        # pivot reset to 1 from the step they die
+        if rule == "object":
+            monkeypatch.setattr(lattice, "_fits_elimination", lambda n, e: False)
+        rng = random.Random(f"unit pivots/{n}")
+        diagonals = [[rng.choice((-1, 1)) for _ in range(n)] for _ in range(4)]
+        for value in (2, -3):
+            diagonals.append([1] * n)
+            diagonals[-1][rng.randrange(1, n)] = value
+        diagonals += [[1] * (n - 1) + [0], [0] + [-1] * (n - 1), [2] + [0] * (n - 1)]
+        mats = [unit_pivot_matrix(rng, d) for d in diagonals]
+        stack = np.array(mats, dtype=object).reshape(len(mats), n, n)
+        for given_stack in (stack, stack.astype(np.int64)):
+            dets, adjs = lattice._bareiss(given_stack, True)
+            assert dets.dtype == (np.int64 if rule == "int64" else object)
+            assert dets.tolist() == [cofactor_det(m) for m in mats] == [math.prod(d) for d in diagonals]
+            assert adjs.tolist() == [cofactor_adjugate(m) for m in mats]
+            assert lattice._bareiss(given_stack, False)[0].tolist() == dets.tolist()
+            # each matrix alone: no other matrix's pivot decides its steps
+            for m, det, adj in zip(given_stack, dets.tolist(), adjs.tolist()):
+                alone = lattice._bareiss(m[None], True)
+                assert (alone[0].tolist(), alone[1].tolist()) == ([det], [adj])
 
     def test_threshold(self):
         # a 1 x 1 matrix reaches the bound 2^31 exactly at 2^31 - 1

@@ -11,12 +11,14 @@ in order.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wall_oracle
 from test_fan_properties import ONCE, TWICE, cycle_fans, star_subdivisions
+from test_lattice import cofactor_adjugate, cofactor_det
 from toricsplit.bondal import bondal_criterion, wall_relation
 from toricsplit.fan import (
     Fan,
@@ -140,8 +142,17 @@ def test_fan_without_cones():
 
 @pytest.mark.parametrize("a", [2 ** 20, 2 ** 40, 2 ** 70])
 def test_huge_hirzebruch_exact(a):
-    # the -a section: coordinates beyond int64 take the Python-int path
+    # the -a section: coordinates beyond int64 take the Python-int path; the
+    # cone matrices are int64 while the rays fit, and the elimination runs
+    # in Python ints on all three
     fan = hirzebruch(a)
+    assert fan.cone_matrices.dtype == (np.int64 if a < 2 ** 63 else object)
+    mats = fan.cone_matrices.tolist()
+    dets, adjs = fan.cone_adjugates
+    assert dets.dtype == object
+    assert dets.tolist() == [cofactor_det(m) for m in mats]
+    assert adjs.tolist() == [cofactor_adjugate(m) for m in mats]
+    assert_matches_reference(fan)
     verdict = bondal_criterion(fan)
     assert [r.coeffs for r in verdict.relations] == [(0,), (-a,), (0,), (a,)]
     assert [r.coeffs for r in verdict.violations] == [(-a,)]
