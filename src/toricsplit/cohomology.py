@@ -60,7 +60,8 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, divisor_class
-from .fan import Fan, _faces, _mask, _per_fan, _poly_mul, fan_product
+from .fan import (_components, _coordinate_factors, _faces, _mask, _per_fan, _poly_mul,
+                  _product_facets, fan_product)
 
 _INT64_SAFE = 2 ** 31
 _BLOCK = 2 ** 16
@@ -142,39 +143,6 @@ def _subset_dims(facets, mask, top):
 # join blocks of the face complex
 
 
-def _components(adjacent):
-    """Connected components of the graph with boolean adjacency matrix
-    `adjacent`, each sorted, in the order of their smallest vertices."""
-    label = [-1] * len(adjacent)
-    components = []
-    for root in range(len(adjacent)):
-        if label[root] >= 0:
-            continue
-        label[root] = len(components)
-        component, stack = [], [root]
-        while stack:
-            j = stack.pop()
-            component.append(j)
-            for k in np.flatnonzero(adjacent[j]).tolist():
-                if label[k] < 0:
-                    label[k] = len(components)
-                    stack.append(k)
-        components.append(sorted(component))
-    return components
-
-
-def _product_facets(cones, blocks):
-    """Per block mask, the sorted distinct masks `cone & block` of the cone
-    masks, or None unless their numbers multiply to the number of cones.
-
-    Each cone is the union of its restrictions, so cone -> (cone & b)_b is
-    injective into the product of the blocks' sets; when the counts multiply
-    to #cones it is onto, and every choice of one set per block is a cone.
-    """
-    facets = [tuple(sorted({c & block for c in cones})) for block in blocks]
-    return facets if math.prod(map(len, facets)) == len(cones) else None
-
-
 @_per_fan
 def _join_blocks(fan):
     """(blocks, facets): a partition of the rays, as vertex masks, whose
@@ -196,40 +164,6 @@ def _join_blocks(fan):
     if facets is None:
         return [(1 << count) - 1], [tuple(sorted(cones))]
     return blocks, facets
-
-
-@_per_fan
-def _coordinate_factors(fan):
-    """[(factor fan, its ray indices)] when the fan is the product of fans
-    on disjoint blocks of coordinates, else None.
-
-    The blocks are the components of the graph on the coordinates in which
-    two coordinates are joined when some ray is nonzero in both, so every
-    ray lies in the coordinate span of one block.  The fan is accepted as
-    the product of its blocks' sub-fans when there are at least two blocks,
-    `_product_facets` accepts the blocks' rays, and every restriction
-    `cone & rays(block)` has as many rays as the block has coordinates.
-    Equal factors share one fan, and so one cache.
-    """
-    support = np.array([[x != 0 for x in r] for r in fan.rays], dtype=np.int64)
-    coordinates = _components(support.T @ support > 0)
-    owner = np.empty(fan.dim, dtype=np.int64)
-    for b, block in enumerate(coordinates):
-        owner[block] = b
-    first = owner[support.argmax(axis=1)]
-    groups = [np.flatnonzero(first == b).tolist() for b in range(len(coordinates))]
-    facets = _product_facets([_mask(c) for c in fan.max_cones], [_mask(g) for g in groups])
-    if len(coordinates) < 2 or facets is None or \
-            any(f.bit_count() != len(block) for block, fs in zip(coordinates, facets) for f in fs):
-        return None
-    shared, factors = {}, []
-    for block, group, fs in zip(coordinates, groups, facets):
-        rays = tuple(tuple(fan.rays[j][c] for c in block) for j in group)
-        cones = tuple(sorted(tuple(i for i, j in enumerate(group) if f >> j & 1) for f in fs))
-        if (rays, cones) not in shared:
-            shared[rays, cones] = Fan(len(block), rays, cones)
-        factors.append((shared[rays, cones], group))
-    return factors
 
 
 @_per_fan

@@ -92,6 +92,14 @@ class TestFrobenius:
         assert report["result"]["multiplicity_ok"] is True
         assert report["result"]["c1_ok"] is True
 
+    def test_verify_p1_at_even_p(self, capsys):
+        # p^(n-1) (p-1) = 1 is odd: c1 holds as 2 sum D_v ~ -K, not as a
+        # floor-halved multiple of -K
+        status, report = run_json(capsys, "frobenius", "verify",
+                                  "--variety", "P:1", "--p", "2")
+        assert status == 0
+        assert report["result"]["c1_ok"] is True
+
     def test_divisor_file(self, capsys, tmp_path):
         div = tmp_path / "d.json"
         div.write_text(json.dumps({"coeffs": [1, 1]}))

@@ -11,7 +11,9 @@ The d = 7 collection verdict is pinned by the sha256 of its stdout instead:
 `collection order` on the 432 Frobenius summand classes of O on Xd:7 at
 p = 4, read from `frobenius split`, and `collection verify` on the order it
 returns.  The pins were generated while the collection checks still read
-all m^2 product tables, so they are an independent reference.
+all m^2 product tables, so they are an independent reference.  The stdout
+of the Xd:9 split and verify and of the default Xd:7 split is pinned the
+same way, from before products were split factor by factor.
 """
 
 import contextlib
@@ -153,6 +155,18 @@ XD7_PINS = {
 }
 
 
+# (exit status, sha256 of stdout) of the splittings of O on the towers past
+# d = 5, pinned before products were split factor by factor
+SPLIT_PINS = {
+    "frobenius split --variety Xd:9 --p 4 --no-stabilization-check":
+        (0, "826f0378520bffaf7086e6bc4e578ff3c9382e1959987355c55631c88460375a"),
+    "frobenius verify --variety Xd:9 --p 4":
+        (0, "9d9e75a8d07e59503e1c67325f63bdbe80fe7145a7e9e9ab61b2e0d4abbeaf41"),
+    "frobenius split --variety Xd:7 --p 4":
+        (0, "74a6c201318aceb1762056403bd67d10380757b2c3ff546b4c5767120ca14f67"),
+}
+
+
 def run_main(argv):
     """(exit status, stdout) of one in-process CLI run."""
     out = io.StringIO()
@@ -184,6 +198,16 @@ def xd7_verdicts(workdir):
 
 def test_xd7_summand_collection(tmp_path):
     assert xd7_verdicts(tmp_path) == XD7_PINS
+
+
+@pytest.mark.parametrize("command", sorted(SPLIT_PINS))
+def test_split_pins(command, capsys):
+    # the default split re-splits at p+2 = 6 and warns on stderr only when
+    # the class sets differ
+    status = main(command.split())
+    out, err = capsys.readouterr()
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == SPLIT_PINS[command]
+    assert "warning" not in err
 
 
 def regenerate():

@@ -163,6 +163,22 @@ class TestInvariants:
         report = verify_splitting_invariants(thomsen_split(fan, zero(fan), 5))
         assert report.ok, report.messages
 
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_p1_at_even_p(self, p):
+        # p^(n-1) (p-1) = p - 1 is odd, so -(p-1)/2 K is no integral divisor
+        fan = projective_space(1)
+        report = verify_splitting_invariants(thomsen_split(fan, zero(fan), p))
+        assert report.ok, report.messages
+
+    @pytest.mark.parametrize("spec,p", [("P:1", 2), ("P:1", 3), ("dP:3", 2)])
+    def test_corrupted_representative_fails_c1(self, spec, p):
+        fan = build_named(spec)
+        result = thomsen_split(fan, zero(fan), p)
+        c, (mult, rep) = next(iter(result.classes.items()))
+        result.classes[c] = (mult, (rep[0] + 1,) + rep[1:])
+        report = verify_splitting_invariants(result)
+        assert (report.multiplicity_ok, report.c1_ok, report.base_cone_ok) == (True, False, True)
+
     def test_p_one_c1(self):
         fan = del_pezzo(3)
         report = verify_splitting_invariants(thomsen_split(fan, zero(fan), 1))

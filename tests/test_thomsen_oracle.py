@@ -72,10 +72,12 @@ def test_coefficients_beyond_int64(spec, p):
     assert_matches_oracle(fan, divisor, p, rng.randrange(len(fan.max_cones)))
 
 
-@pytest.mark.parametrize("spec,p", [("P:2", 5), ("Xd:3", 5), ("dP:3*dP:3", 2)])
+@pytest.mark.parametrize("spec,p", [("P:2", 5), ("Xd:3", 5), ("dP:3*dP:3", 2), ("Xd:5", 3)])
 def test_blocks_match_oracle(spec, p, monkeypatch):
     # blocks of 7 exponent vectors: every split spans several blocks and
-    # ends in a ragged one, and a class's representative may come from any
+    # ends in a ragged one, and a class's representative may come from any.
+    # A product splits its factors, so dP:3*dP:3 at p=2 reads 4-row blocks
+    # and Xd:5 at p=3 the 27 rows of its Xd:3 factor in 4 blocks.
     monkeypatch.setattr(frobenius, "_BLOCK", 7)
     fan = build_named(spec)
     rng = random.Random(f"blocks/{spec}/{p}")
