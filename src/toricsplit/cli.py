@@ -110,6 +110,10 @@ def _load_json(path, what):
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer over Python's digit limit for
+        # int-string conversion, or nesting deeper than the recursion limit
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _integers(data, key, depth, what, path):
@@ -147,6 +151,9 @@ def _load_fan(args, variety_attr="variety", fan_attr="fan"):
                   _integers(data, "max_cones", 2, "fan", path))
     except ValueError as exc:
         raise InputError(f"bad fan file {path}: {exc}") from exc
+    with _input_errors():
+        fan_mod._refuse_oversized(f"fan in {path}", fan.dim, len(fan.max_cones),
+                                  max(abs(x) for ray in fan.rays for x in ray))
     report = validate(fan)
     if not report.ok:
         raise InputError(f"fan in {path} is not smooth and complete: "
@@ -355,10 +362,14 @@ def main(argv=None):
         "result": result,
         "exit_status": status,
     }
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(_format_table(report))
+    try:
+        text = (json.dumps(report, sort_keys=True, indent=2) if args.format == "json"
+                else _format_table(report))
+    except ValueError as exc:
+        # an integer over Python's digit limit for int-string conversion
+        print(f"error: cannot write the result: {exc}", file=sys.stderr)
+        return 2
+    print(text)
     elapsed = time.monotonic() - started
     print(f"wall-clock: {elapsed:.3f}s", file=sys.stderr)
     return status

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, divisor_class
-from .fan import (_components, _coordinate_factors, _faces, _mask, _per_fan, _poly_mul,
+from .fan import (_components, _factors, _faces, _mask, _per_fan, _poly_mul,
                   _product_facets, fan_product)
 
 _INT64_SAFE = 2 ** 31
@@ -319,7 +319,7 @@ def line_bundle_cohomology(fan, divisor):
     R = 1 + max|a_j| * max|v_j| and double while a degree of sup-norm R or
     R-1 contributes.
 
-    A product of fans on disjoint blocks of coordinates (`_coordinate_factors`)
+    A product of fans on disjoint blocks of coordinates (`fan._factors`)
     is scanned factor by factor instead, each at its own B(D).  By Kunneth
     its dims are the convolution of the factors'.  A product degree
     contributes exactly when each factor's part does, and its sup-norm is
@@ -335,10 +335,9 @@ def line_bundle_cohomology(fan, divisor):
 
 
 def _scanned_factors(fan, largest):
-    """The coordinate factors, a fan that is no product being its own single
-    factor, once the scan guards pass for coefficients of absolute value at
-    most `largest`."""
-    factors = _coordinate_factors(fan) or [(fan, range(len(fan.rays)))]
+    """`fan._factors` of the fan once the scan guards pass for coefficients
+    of absolute value at most `largest`."""
+    factors = _factors(fan)
     if max(len(f.rays) for f, _ in factors) > 62:
         raise ValueError("bitmask fast path supports at most 62 rays")
     if largest >= _INT64_SAFE:

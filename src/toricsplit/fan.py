@@ -483,6 +483,13 @@ def _coordinate_factors(fan):
     return factors
 
 
+def _factors(fan):
+    """`_coordinate_factors`, a fan that is no product being its own single
+    factor.  Not memoised: a cached list would hold the fan in its own
+    cache, a cycle that outlives the last reference to the fan."""
+    return _coordinate_factors(fan) or [(fan, tuple(range(len(fan.rays))))]
+
+
 _DESCRIPTOR = re.compile(r"^([A-Za-z]+):?(\d+)$")
 _MAX_DIM = 2 ** 8
 _MAX_CONES = 2 ** 19
@@ -502,23 +509,30 @@ def build_named(spec):
     parts = [part.strip() for part in spec.split("*")]
     named = [part for part in parts if _named_size(part)]
     sizes = list(map(_named_size, named))
-    dim = sum(d for d, _ in sizes)
-    if dim > _MAX_DIM:
-        raise InvalidSpec(f"variety {spec!r} has dimension {dim}, "
-                          f"more than the limit of {_MAX_DIM}")
-    cones = math.prod(count for _, count in sizes)
-    if cones > _MAX_CONES:
-        raise InvalidSpec(f"variety {spec!r} has {cones} maximal cones, "
-                          f"more than the limit of {_MAX_CONES}")
+    # a count is None only on a part above _MAX_DIM, which the dimension refuses
+    cones = math.prod(count or 1 for _, count in sizes)
     # every named ray has entries in {-1, 0, 1}, except -e0 + a*e1 on F:a
     entry = max([1] + [num for kind, num in map(_parse, named) if kind == "F"])
-    if cones * dim ** 3 > _MAX_EXACT_WORK and not _fits_elimination(dim, entry):
-        raise InvalidSpec(f"variety {spec!r} needs Python-int work #cones * dim^3 = "
-                          f"{cones * dim ** 3}, more than the limit of {_MAX_EXACT_WORK}")
+    _refuse_oversized(f"variety {spec!r}", sum(d for d, _ in sizes), cones, entry)
     fan = _build_one(parts[0])
     for part in parts[1:]:
         fan = fan_product(fan, _build_one(part))
     return fan
+
+
+def _refuse_oversized(what, dim, cones, entry):
+    """Raise InvalidSpec for `what`, a fan of dimension `dim` with `cones`
+    maximal cones and rays of largest |entry| `entry`, when its dimension is
+    above _MAX_DIM, its cone count above _MAX_CONES, or its cone elimination
+    would run in Python ints at a cost #cones * dim^3 above _MAX_EXACT_WORK."""
+    if dim > _MAX_DIM:
+        raise InvalidSpec(f"{what} has dimension {dim}, more than the limit of {_MAX_DIM}")
+    if cones > _MAX_CONES:
+        raise InvalidSpec(f"{what} has {cones} maximal cones, "
+                          f"more than the limit of {_MAX_CONES}")
+    if cones * dim ** 3 > _MAX_EXACT_WORK and not _fits_elimination(dim, entry):
+        raise InvalidSpec(f"{what} needs Python-int work #cones * dim^3 = "
+                          f"{cones * dim ** 3}, more than the limit of {_MAX_EXACT_WORK}")
 
 
 def _parse(spec):

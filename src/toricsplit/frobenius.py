@@ -14,17 +14,17 @@ summands come out of one exact object-dtype array expression per block of
 _BLOCK exponent vectors, so grouping them by Picard class takes memory
 O(_BLOCK * #rays).  At most _MAX_SUMMANDS summands are allowed.
 
-A fan that is the product of fans on disjoint blocks of coordinates
-(`fan._coordinate_factors`) is split factor by factor: the pushforward of
-an external product is the external product of the pushforwards,
-F_*(L x M) = F_*L x F_*M.  Each ray of the base cone lies in one factor, so
-a product v joins one exponent vector per factor, each factor's coordinates
-in their order inside the base cone, and every summand D_v joins the
-factors' summands.  The product's classes are therefore all choices of one
-class per factor, multiplicities multiply, and the lexicographically
-smallest v of a product class joins the factors' smallest v.  The class
-vectors are those of the joined representatives under the product's own
-class map; the factors' class vectors are in other bases.  Only the
+Every fan is split factor by factor over `fan._factors`, the blocks of
+coordinates of which it is the product, a fan that is no product being its
+own single factor: the pushforward of an external product is the external
+product of the pushforwards, F_*(L x M) = F_*L x F_*M.  Each ray of the
+base cone lies in one factor, so a v joins one exponent vector per factor,
+each factor's coordinates in their order inside the base cone, and every
+summand D_v joins the factors' summands.  The classes are therefore all
+choices of one class per factor, multiplicities multiply, and the
+lexicographically smallest v of a class joins the factors' smallest v.  The
+class vectors are those of the joined representatives under the fan's own
+class map; a proper factor's class vectors are in another basis.  Only the
 factors' summands are enumerated, and each factor's split is memoised on
 the factor fan, which equal factors share: Xd:9 at p = 4 forms at most
 4^3 + 3 * 4^2 rows instead of 4^9.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisor import _coeffs, _pic_projection, linearly_equivalent
-from .fan import _coordinate_factors, _integers, _per_fan
+from .fan import _factors, _integers, _per_fan
 from .lattice import _exact_matmul
 
 
@@ -86,13 +86,14 @@ def summand_divisors(fan, divisor, p, base_cone=0):
     return np.concatenate(list(_summand_blocks(fan, *_checked(fan, divisor, p, base_cone))))
 
 
-def _grouped(fan, a, p, base_cone):
-    """{class: [multiplicity, representative, row]} over all p^n summands in
-    one pass over the blocks of rows, in the order of the classes' first
-    rows, which give the representatives."""
-    projection = _pic_projection(fan).T
+@_per_fan
+def _factor_classes(factor, a, p, base_cone):
+    """(multiplicities, representatives, smallest exponent vectors) of the
+    classes of one factor, as arrays in the order of the classes' first
+    rows, which give the representatives, from one pass over the blocks."""
+    projection = _pic_projection(factor).T
     classes, start = {}, 0
-    for summands in _summand_blocks(fan, a, p, base_cone):
+    for summands in _summand_blocks(factor, a, p, base_cone):
         class_vectors = summands @ projection
         for row, c, dv in zip(itertools.count(start), map(tuple, class_vectors.tolist()),
                               map(tuple, summands.tolist())):
@@ -101,34 +102,26 @@ def _grouped(fan, a, p, base_cone):
             else:
                 classes[c] = [1, dv, row]
         start += len(summands)
-    return classes
-
-
-@_per_fan
-def _factor_classes(factor, a, p, base_cone):
-    """(multiplicities, representatives, smallest exponent vectors) of the
-    classes of one coordinate factor, as arrays in the factor's dict order."""
-    mults, reps, rows = zip(*_grouped(factor, a, p, base_cone).values())
+    mults, reps, rows = zip(*classes.values())
     digits = p ** np.arange(factor.dim - 1, -1, -1, dtype=np.int64)
     return (np.array(mults, dtype=np.int64), np.array(reps, dtype=object),
             np.array(rows, dtype=np.int64)[:, None] // digits % p)
 
 
-def _factored_classes(fan, factors, a, p, base_cone, projection):
-    """{class: (multiplicity, representative)} of a product fan, assembled
-    from its factors' splittings at the restrictions of the base cone.
-
-    The product classes are the choices of one class per factor, first
-    factor slowest; their multiplicities are the outer product of the
-    factors', and their representatives and smallest exponent vectors are
-    the factors' scattered to the factor's rays and base-cone positions.
-    One lexsort of those vectors gives the dict order.
-    """
-    fan.cone_inverses  # NotUnimodular from the product's own cones, as unfactored
+def _factored_classes(fan, a, p, base_cone):
+    """{class: (multiplicity, representative)}: the choices of one class of
+    each factor (`fan._factors`), split at its restriction of the base cone,
+    first factor slowest.  Multiplicities are the outer product of the
+    factors'; representatives and smallest exponent vectors scatter the
+    factors' to their rays and base-cone positions, and one lexsort of
+    those vectors gives the dict order."""
+    fan.cone_inverses  # NotUnimodular from the fan's own cones
     cone = fan.max_cones[base_cone]
-    splits = []
+    factors = _factors(fan)
+    splits, positions = [], []
     for factor, group in factors:
         local = {j: i for i, j in enumerate(group)}
+        positions.append([j in local for j in cone])
         sub = factor.max_cones.index(tuple(local[j] for j in cone if j in local))
         splits.append(_factor_classes(factor, tuple(a[j] for j in group), p, sub))
     factor_mults, factor_reps, factor_vectors = zip(*splits)
@@ -136,13 +129,14 @@ def _factored_classes(fan, factors, a, p, base_cone, projection):
     mults = functools.reduce(np.multiply.outer, factor_mults).ravel()
     reps = np.empty((len(mults), len(fan.rays)), dtype=object)
     vectors = np.empty((len(mults), fan.dim), dtype=np.int64)
-    for (_, group), rep, vector, choice in zip(factors, factor_reps, factor_vectors, choices):
+    for (_, group), at, rep, vector, choice in zip(factors, positions, factor_reps,
+                                                   factor_vectors, choices):
         reps[:, group] = rep[choice]
-        vectors[:, np.isin(cone, group)] = vector[choice]
+        vectors[:, at] = vector[choice]
     # np.lexsort takes the last key as primary
     order = np.lexsort(vectors.T[::-1])
     reps = reps[order]
-    class_vectors = _exact_matmul(reps, projection)
+    class_vectors = _exact_matmul(reps, _pic_projection(fan).T)
     return dict(zip(map(tuple, class_vectors.tolist()),
                     zip(mults[order].tolist(), map(tuple, reps.tolist()))))
 
@@ -181,17 +175,12 @@ def thomsen_split(fan, divisor, p, base_cone=0):
     p is any integer >= 1 with p^n <= _MAX_SUMMANDS, checked before any
     summand is formed.  The classes are in the order of their
     lexicographically smallest exponent vectors, whose summands are their
-    representatives.  A fan that is no product has its rows grouped in one
-    pass; a product is split factor by factor (see the module docstring).
+    representatives.  Every fan is split factor by factor, a fan that is
+    no product being its own single factor (see the module docstring).
     """
-    projection = _pic_projection(fan).T
+    _pic_projection(fan)  # TorsionDetected before the argument checks
     a, p, base_cone = _checked(fan, divisor, p, base_cone)
-    factors = _coordinate_factors(fan)
-    if factors is None:
-        classes = {c: (m, rep) for c, (m, rep, _) in _grouped(fan, a, p, base_cone).items()}
-    else:
-        classes = _factored_classes(fan, factors, a, p, base_cone, projection)
-    return SplittingResult(fan, a, p, base_cone, classes)
+    return SplittingResult(fan, a, p, base_cone, _factored_classes(fan, a, p, base_cone))
 
 
 @dataclass(frozen=True)

@@ -349,6 +349,64 @@ class TestBadInput:
         assert_input_error(capsys, "collection", "verify", "--variety", "P:2",
                            "--collection", coll)
 
+    def assert_unreadable(self, capsys, path):
+        # exit 2 with one `error:` line naming the file, as fan, divisor and
+        # collection file
+        for argv in (("variety", "info", "--fan", path),
+                     ("cohomology", "compute", "--variety", "P:1", "--divisor", path),
+                     ("collection", "verify", "--variety", "P:1", "--collection", path)):
+            status, out, err = run(capsys, *argv)
+            assert status == 2 and out == "", err
+            assert err.startswith(f"error: cannot read {argv[-2][2:]} file {path}: ")
+            assert err.count("\n") == 1, err
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        # a UnicodeDecodeError ended in a traceback
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe{}")
+        self.assert_unreadable(capsys, str(path))
+
+    def test_file_nested_too_deep(self, capsys, tmp_path):
+        # a RecursionError ended in a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        self.assert_unreadable(capsys, str(path))
+
+    def test_integer_over_digit_limit(self, capsys, tmp_path):
+        # Python refuses to read an int of more than 4300 digits from a string
+        path = tmp_path / "big.json"
+        path.write_text('{"coeffs": [' + "9" * 5000 + ", 0]}")
+        self.assert_unreadable(capsys, str(path))
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_result_over_digit_limit(self, capsys, tmp_path, fmt):
+        # the split of two 4300-digit coefficients on P^1 at p = 1 has a
+        # 4301-digit class, which Python refuses to write as a string
+        path = tmp_path / "d.json"
+        path.write_text('{"coeffs": [' + ", ".join(["9" * 4300] * 2) + "]}")
+        status, out, err = run(capsys, "frobenius", "split", "--variety", "P:1",
+                               "--p", "1", "--divisor", str(path), "--format", fmt)
+        assert status == 2 and out == ""
+        assert err.startswith("error: cannot write the result: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, message", [
+        (76, "needs Python-int work #cones * dim^3 = 33801152, more than the limit of 33554432"),
+        (257, "has dimension 257, more than the limit of 256"),
+    ])
+    def test_fan_file_over_size_limits(self, capsys, tmp_path, n, message):
+        # a fan file meets the refusals of its descriptor before validation:
+        # P:76, the smallest P:n over the elimination limit, took seconds
+        # the fan of P^n, written without building it: the builder validates
+        rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+        fan = self.write(tmp_path, "f.json", {"dim": n, "rays": rays, "max_cones": [
+            [j for j in range(n + 1) if j != i] for i in range(n + 1)]})
+        start = time.perf_counter()
+        status, out, err = run(capsys, "variety", "info", "--fan", fan)
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and err == f"error: fan in {fan} {message}\n"
+        status, _, err = run(capsys, "variety", "info", f"P:{n}")
+        assert status == 2 and err == f"error: variety 'P:{n}' {message}\n"
+
     def test_fan_beyond_int64_is_validated_exactly(self, capsys, tmp_path):
         # the Hirzebruch surface F_a with a = 2^40: its cone inverses hold
         # entries of 2^40, and validation works on them in exact integers

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from toricsplit import cohomology
+from toricsplit import fan as fan_mod
 from toricsplit.cohomology import line_bundle_cohomology
-from toricsplit.fan import Fan, build_named
+from toricsplit.fan import Fan, _coordinate_factors, _factors, build_named
 
 # factor dimensions in coordinate order, or None for a fan that is no product
 FACTORS = {
@@ -41,8 +42,14 @@ def tables(monkeypatch, make_fan, cases, factored=True):
     radius r."""
     with monkeypatch.context() as patch:
         if not factored:
-            patch.setattr(cohomology, "_coordinate_factors", lambda fan: None)
+            patch.setattr(fan_mod, "_coordinate_factors", lambda fan: None)
         fan = make_fan()
+        # the patch must reach the scan: a product has factors without it
+        # and is its own single factor under it
+        if factored:
+            assert len(_factors(fan)) >= 2
+        else:
+            assert _factors(fan) == [(fan, tuple(range(len(fan.rays))))]
         out = [line_bundle_cohomology(fan, d) for d, radius in cases if radius is None]
         for d, radius in cases:
             if radius is not None:
@@ -53,7 +60,7 @@ def tables(monkeypatch, make_fan, cases, factored=True):
 
 @pytest.mark.parametrize("spec", sorted(FACTORS))
 def test_detection(spec):
-    factors = cohomology._coordinate_factors(build_named(spec))
+    factors = _coordinate_factors(build_named(spec))
     dims = None if factors is None else [f.dim for f, _ in factors]
     assert dims == FACTORS[spec]
 
@@ -62,16 +69,16 @@ def test_cone_count_decides():
     # P1 x P1 without one of its four cones: the coordinates still split,
     # but 3 cones are not all 2 x 2 choices of restrictions
     base = build_named("P:1*P:1")
-    assert cohomology._coordinate_factors(Fan(2, base.rays, base.max_cones[1:])) is None
+    assert _coordinate_factors(Fan(2, base.rays, base.max_cones[1:])) is None
 
 
 def test_moved_product_is_not_detected():
     fan = moved_dp3_squared()
-    assert cohomology._coordinate_factors(fan) is None
+    assert _coordinate_factors(fan) is None
     rng = random.Random("moved")
     divisors = [tuple(rng.randint(-2, 2) for _ in fan.rays) for _ in range(4)]
     product = build_named("dP:3*dP:3")
-    assert cohomology._coordinate_factors(product) is not None
+    assert _coordinate_factors(product) is not None
     # the same coefficients on corresponding rays give the same dims; the
     # box is a sup-norm in the moved coordinates, so it may differ
     assert [line_bundle_cohomology(fan, d).dims for d in divisors] == \

@@ -2,19 +2,24 @@
 whole-fan split.
 
 `thomsen_split` splits a coordinate product one factor at a time.  The
-whole-fan path is the same function with `frobenius._coordinate_factors`
-patched to find no product; both must give the same classes,
+whole-fan path is the same function with `fan._coordinate_factors`
+patched to find no product, which makes the fan its own single factor;
+both must give the same classes,
 multiplicities and representatives in the same dict order.  The permuted
 copies put the factors' rays, and so their base-cone positions, in
 interleaved order.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from toricsplit import fan as fan_mod
 from toricsplit import frobenius
-from toricsplit.fan import Fan, _coordinate_factors, build_named
+from toricsplit.cohomology import line_bundle_cohomology
+from toricsplit.fan import Fan, _coordinate_factors, _factors, build_named
 from toricsplit.frobenius import thomsen_split
 
 from test_thomsen_oracle import SPECS, cases, zero
@@ -23,8 +28,12 @@ PRODUCTS = [spec for spec in SPECS if _coordinate_factors(build_named(spec))]
 
 
 def whole_fan_split(monkeypatch, fan, divisor, p, base):
+    # the patch must reach the split: a product has factors without it and
+    # is its own single factor under it
+    assert len(_factors(fan)) >= 2
     with monkeypatch.context() as patch:
-        patch.setattr(frobenius, "_coordinate_factors", lambda fan: None)
+        patch.setattr(fan_mod, "_coordinate_factors", lambda fan: None)
+        assert _factors(fan) == [(fan, tuple(range(len(fan.rays))))]
         return thomsen_split(fan, divisor, p, base)
 
 
@@ -117,3 +126,21 @@ def test_xd9_forms_only_factor_rows(monkeypatch):
     result = thomsen_split(fan, zero(fan), 4)
     assert (result.class_count, result.total_multiplicity) == (2592, 4 ** 9)
     assert sum(rows) <= 4 ** 3 + 3 * 4 ** 2
+
+
+@pytest.mark.parametrize("spec", ["Xd:3", "dP:3*dP:3"])
+def test_fans_are_freed_by_reference_counting(spec):
+    # no memo may hold a fan in its own cache: the cycle would keep the fan
+    # and all its caches alive until a full collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fan = build_named(spec)
+        thomsen_split(fan, zero(fan), 3)
+        line_bundle_cohomology(fan, zero(fan))
+        ref = weakref.ref(fan)
+        del fan
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 
 from cohomology_oracle import box_scan, oracle_cohomology
 from toricsplit import cohomology
+from toricsplit import fan as fan_mod
 from toricsplit.cohomology import line_bundle_cohomology
 from toricsplit.divisor import canonical_divisor
 from toricsplit.fan import (
     Fan,
     _face_counts,
+    _factors,
     build_named,
     fan_product,
     poincare_polynomial,
@@ -196,8 +198,11 @@ def test_product_cohomology_is_kunneth(data):
     factored = line_bundle_cohomology(product, d1 + d2)
     # the whole-fan scan, which reads the face complex as a join; a product
     # fan is otherwise scanned factor by factor
-    with mock.patch.object(cohomology, "_coordinate_factors", lambda fan: None):
-        table = line_bundle_cohomology(fan_product(f1, f2), d1 + d2)
+    assert len(_factors(product)) >= 2
+    whole = fan_product(f1, f2)
+    with mock.patch.object(fan_mod, "_coordinate_factors", lambda fan: None):
+        assert _factors(whole) == [(whole, tuple(range(len(whole.rays))))]
+        table = line_bundle_cohomology(whole, d1 + d2)
     expected = np.convolve(line_bundle_cohomology(f1, d1).dims,
                            line_bundle_cohomology(f2, d2).dims)
     assert table.dims == tuple(int(x) for x in expected)

@@ -15,7 +15,7 @@ from test_fan_properties import ONCE, blow_up, cycle_fan
 import toricsplit
 from toricsplit import cohomology
 from toricsplit.cohomology import line_bundle_cohomology
-from toricsplit.fan import _mask, build_named
+from toricsplit.fan import _coordinate_factors, _mask, build_named
 
 BLOCKS = {
     "Xd:3": [2, 6],
@@ -69,7 +69,7 @@ def test_moved_product_is_a_join():
     # dP3 x dP3 moved by GL_4(Z) is no coordinate product, but its face
     # complex is still the join of the two hexagons
     fan = moved_dp3_squared()
-    assert cohomology._coordinate_factors(fan) is None
+    assert _coordinate_factors(fan) is None
     assert [block.bit_count() for block in cohomology._join_blocks(fan)[0]] == [6, 6]
     subsets = [[j for j in range(12) if mask >> j & 1] for mask in range(1 << 12)]
     assert factorised_dims(fan, subsets) == whole_dims(fan, subsets)

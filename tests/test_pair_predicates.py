@@ -9,7 +9,7 @@ import pytest
 
 from toricsplit import cohomology
 from toricsplit.cohomology import ext_table, find_strong_order
-from toricsplit.fan import build_named
+from toricsplit.fan import _coordinate_factors, build_named
 from toricsplit.frobenius import thomsen_split
 
 from test_coordinate_factors import moved_dp3_squared
@@ -73,6 +73,6 @@ def test_order_forms_no_product_table():
     assert len(bundles) == 72
     assert find_strong_order(fan, bundles).ok
     assert keys_of(fan, cohomology._table) == 0
-    xd3, dp3 = (f for f, _ in cohomology._coordinate_factors(fan))
+    xd3, dp3 = (f for f, _ in _coordinate_factors(fan))
     assert (len(xd3.rays), len(dp3.rays)) == (8, 6)
     assert (keys_of(xd3, cohomology._scan), keys_of(dp3, cohomology._scan)) == (93, 31)
