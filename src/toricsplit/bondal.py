@@ -43,15 +43,20 @@ def _coefficients(fan, inverses, plus_cone, u_plus, u_minus, plus_column,
 
     Row w solves u_minus = -u_plus - sum a_i u_i in the basis of its plus
     cone: the coordinates of u_minus are rays[u_minus] @ inverses[plus_cone],
-    read from the product of the rays with every cone inverse, the one in
-    `plus_column` must be -1, and the ones in `columns` (those of
-    `wall_rays`), negated, are the a_i.  The relation's sum is one product
-    of its coefficients, a row over all rays, with the rays.  Raises
+    the one in `plus_column` must be -1, and the ones in `columns` (those of
+    `wall_rays`), negated, are the a_i.  A wall is the facet of its plus
+    cone off the u_plus column, so each (cone, column) pair holds at most
+    one wall: rays[u_minus] goes to that row of a (#cones, n, n) stack, one
+    product of the stack with the inverses gives all coordinates, and the
+    walls' rows are read back.  The relation's sum is one product of its
+    coefficients, a row over all rays, with the rays.  Raises
     BasisDegenerate at the first wall whose u_plus coordinate is not -1 or
     whose relation does not close.
     """
     rays = _narrow(fan.ray_matrix)
-    coords = _exact_matmul(rays, inverses)[plus_cone, u_minus]
+    stack = np.zeros((len(inverses), fan.dim, fan.dim), dtype=rays.dtype)
+    stack[plus_cone, plus_column] = rays[u_minus]
+    coords = _exact_matmul(stack, inverses)[plus_cone, plus_column]
     rows = np.arange(len(plus_cone))
     coeffs = -coords[rows[:, None], columns]
     terms = np.zeros((len(rows), len(rays)), dtype=coeffs.dtype)

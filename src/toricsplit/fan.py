@@ -17,8 +17,8 @@ from functools import cache, cached_property, wraps
 
 import numpy as np
 
-from .lattice import (NotUnimodular, _bareiss, _exact_matmul, _fits_elimination, _narrow,
-                      as_matrix)
+from .lattice import (NotUnimodular, _bareiss, _exact_matmul, _exact_product,
+                      _fits_elimination, _narrow, as_matrix)
 
 
 class InvalidSpec(ValueError):
@@ -119,9 +119,17 @@ class Fan:
     @cached_property
     def cone_adjugates(self):
         """(dets, adjs) of all cone matrices, a (#cones,) and a (#cones, dim,
-        dim) array from one batched exact elimination: int64 under its
-        Hadamard bound, Python ints otherwise."""
-        return _bareiss(self.cone_matrices, True)
+        dim) array.  A product of fans on disjoint blocks of coordinates
+        (`_factor_layout`, which `_coordinate_factors` reads too) assembles
+        them from one elimination of its factors' cone matrices
+        (`_factored_adjugates`), in int64 when `lattice._exact_product`
+        allows; any other fan takes one batched exact elimination of all
+        its cone matrices, int64 under its Hadamard bound, Python ints
+        otherwise."""
+        layout = _factor_layout(self)
+        if layout is None:
+            return _bareiss(self.cone_matrices, True)
+        return _factored_adjugates(self, layout)
 
     @cached_property
     def cone_inverses(self):
@@ -448,39 +456,139 @@ def _product_facets(cones, blocks):
     return facets if math.prod(map(len, facets)) == len(cones) else None
 
 
+@dataclass(frozen=True)
+class _FactorLayout:
+    """Where the coordinate factors of a product fan sit in its cones, one
+    entry per block of coordinates in each tuple."""
+    coordinates: tuple   # the block's coordinates, sorted
+    groups: tuple        # the block's rays, sorted, as a list of ray indices
+    factor_cones: tuple  # (factor cones, block dim) the factor's sorted cones, on the fan's rays
+    cones: tuple         # (#cones,) the factor cone of each cone
+    rows: tuple          # (block dim, #cones) the positions of the block's rays in each cone
+    sign: np.ndarray     # (#cones,) sign of each cone's row and column permutations
+
+
 @_per_fan
-def _coordinate_factors(fan):
-    """[(factor fan, its ray indices)] when the fan is the product of fans
-    on disjoint blocks of coordinates, else None.
+def _factor_layout(fan):
+    """The `_FactorLayout` of a fan that is the product of fans on disjoint
+    blocks of coordinates, else None.
 
     The blocks are the components of the graph on the coordinates in which
     two coordinates are joined when some ray is nonzero in both, so every
     ray lies in the coordinate span of one block.  The fan is accepted as
-    the product of its blocks' sub-fans when there are at least two blocks,
-    `_product_facets` accepts the blocks' rays, and every restriction
-    `cone & rays(block)` has as many rays as the block has coordinates.
+    the product of its blocks' sub-fans when it has maximal cones, there
+    are at least two blocks, every cone has as many rays of each block as
+    the block has coordinates, and the numbers of distinct restrictions of
+    the cones to the blocks multiply to the number of cones (see
+    `_product_facets`).
+
+    The per-cone arrays are passes over `Fan.cone_indices`: a stable
+    argsort of each cone's rays by their block puts block b's rays in a run
+    of positions, and a lexsort of that run ranks each cone's restriction
+    among the factor's sorted cones.  Sorting a cone's rows by block swaps
+    each pair of rays of blocks b < c whose ray of c comes first, which
+    depends only on the two factor cones; so the sign is read from one
+    table over each pair of factors, times the constant sign of listing the
+    coordinates block by block.
+    """
+    if not fan.max_cones:
+        return None
+    support = (fan.ray_matrix != 0).astype(np.int64)
+    coordinates = _components(support.T @ support > 0)
+    if len(coordinates) < 2:
+        return None
+    owner = np.empty(fan.dim, dtype=np.intp)
+    for b, block in enumerate(coordinates):
+        owner[block] = b
+    ray_owner = owner[support.argmax(axis=1)]
+    n, k = fan.dim, len(fan.max_cones)
+    rows = np.argsort(np.take(ray_owner, fan.cone_indices.T), axis=0, kind="stable")
+    ordered = np.take(fan.cone_indices, rows + np.arange(0, n * k, n))
+    dims = list(map(len, coordinates))
+    if (ray_owner[ordered] != np.repeat(np.arange(len(dims)), dims)[:, None]).any():
+        return None
+    ends = list(itertools.accumulate(dims))
+    factor_cones, cones = [], []
+    for end, d in zip(ends, dims):
+        part = ordered[end - d:end]
+        order = np.lexsort(part[::-1])
+        part = part[:, order]
+        new = np.arange(k) == 0
+        for row in part:
+            new[1:] |= row[1:] != row[:-1]
+        rank = np.empty(k, dtype=np.intp)
+        rank[order] = np.cumsum(new) - 1
+        factor_cones.append(part[:, new].T)
+        cones.append(rank)
+    if math.prod(map(len, factor_cones)) != k:
+        return None
+    swaps = sum(map(operator.gt, *zip(*itertools.combinations(owner.tolist(), 2))))
+    for (b, rays_b), (c, rays_c) in itertools.combinations(enumerate(factor_cones), 2):
+        table = (rays_b[:, None, :, None] > rays_c[None, :, None, :]).sum(axis=(2, 3))
+        swaps = swaps + table[cones[b], cones[c]]
+    return _FactorLayout(tuple(np.array(c, dtype=np.intp) for c in coordinates),
+                         tuple(np.flatnonzero(ray_owner == b).tolist() for b in range(len(dims))),
+                         tuple(factor_cones), tuple(cones),
+                         tuple(rows[end - d:end] for end, d in zip(ends, dims)),
+                         1 - 2 * (swaps % 2))
+
+
+@_per_fan
+def _coordinate_factors(fan):
+    """[(factor fan, its ray indices)] when the fan is the product of fans
+    on disjoint blocks of coordinates (`_factor_layout`), else None.
+
     Equal factors share one fan, and so one cache.  Cohomology scans and
     Frobenius splittings both run factor by factor on these.
     """
-    support = np.array([[x != 0 for x in r] for r in fan.rays], dtype=np.int64)
-    coordinates = _components(support.T @ support > 0)
-    owner = np.empty(fan.dim, dtype=np.int64)
-    for b, block in enumerate(coordinates):
-        owner[block] = b
-    first = owner[support.argmax(axis=1)]
-    groups = [np.flatnonzero(first == b).tolist() for b in range(len(coordinates))]
-    facets = _product_facets([_mask(c) for c in fan.max_cones], [_mask(g) for g in groups])
-    if len(coordinates) < 2 or facets is None or \
-            any(f.bit_count() != len(block) for block, fs in zip(coordinates, facets) for f in fs):
+    layout = _factor_layout(fan)
+    if layout is None:
         return None
     shared, factors = {}, []
-    for block, group, fs in zip(coordinates, groups, facets):
-        rays = tuple(tuple(fan.rays[j][c] for c in block) for j in group)
-        cones = tuple(sorted(tuple(i for i, j in enumerate(group) if f >> j & 1) for f in fs))
+    for block, group, fs in zip(layout.coordinates, layout.groups, layout.factor_cones):
+        rays = tuple(tuple(fan.rays[j][c] for c in block.tolist()) for j in group)
+        cones = tuple(map(tuple, np.searchsorted(group, fs).tolist()))
         if (rays, cones) not in shared:
             shared[rays, cones] = Fan(len(block), rays, cones)
         factors.append((shared[rays, cones], group))
     return factors
+
+
+def _factored_adjugates(fan, layout):
+    """`Fan.cone_adjugates` of a product from its factors' cone eliminations.
+
+    Each factor's cone matrices B_b, taken from the fan's rays and padded
+    with an identity block to the largest factor dimension (which keeps
+    det B_b and puts adj B_b in the corner), go through one `_bareiss`
+    call.  Up to its row and column permutations, of sign s, a cone matrix
+    is block-diagonal in its factor cones' B_b, so det = s * prod det B_b,
+    and its adjugate holds s * prod_{j != b} det B_j * adj B_b at block b's
+    coordinates and at the cone's rows of block b's rays.  Both are
+    polynomial identities, true also on singular cones.  The products run
+    through `lattice._exact_product`; the adjugates are laid out with the
+    cones along the last axis in memory.
+    """
+    n, k = fan.dim, len(fan.max_cones)
+    rays = _narrow(fan.ray_matrix)
+    dims = list(map(len, layout.coordinates))
+    ends = list(itertools.accumulate(map(len, layout.factor_cones)))
+    mats = np.zeros((ends[-1], max(dims), max(dims)), dtype=rays.dtype)
+    mats[:, range(max(dims)), range(max(dims))] = 1
+    for end, d, coordinates, fs in zip(ends, dims, layout.coordinates, layout.factor_cones):
+        mats[end - len(fs):end, :d, :d] = rays[fs][:, :, coordinates]
+    factor_dets, factor_adjs = _bareiss(mats, True)
+    dets, corners = [], []  # per block, gathered to the cones, which run last
+    for end, d, fs, c in zip(ends, dims, layout.factor_cones, layout.cones):
+        dets.append(factor_dets[end - len(fs):end][c])
+        corners.append(np.take(np.moveaxis(factor_adjs[end - len(fs):end, :d, :d], 0, -1), c,
+                               axis=-1))
+    blocks = [_exact_product(corner, layout.sign, *dets[:b], *dets[b + 1:])
+              for b, corner in enumerate(corners)]
+    adjs = np.zeros(n * n * k, dtype=np.result_type(*blocks))
+    cone = np.arange(k)
+    for block, coordinates, rows in zip(blocks, layout.coordinates, layout.rows):
+        adjs[(n * k * coordinates)[:, None, None] + (k * rows + cone)] = block
+    return _exact_product(layout.sign, *dets), adjs.reshape(n, n, k).transpose(2, 0, 1)
 
 
 def _factors(fan):
@@ -611,14 +719,18 @@ def _kept_columns(n):
 @_per_fan
 def _facet_table(fan):
     n, cones = fan.dim, fan.cone_indices
-    facets = cones[:, _kept_columns(n)].reshape(len(cones) * n, n - 1)
-    # np.lexsort takes the last key as primary and needs at least one key
-    order = np.lexsort(facets.T[::-1]) if n > 1 else np.arange(len(facets))
-    facets = facets[order]
-    new = np.ones(len(facets), dtype=bool)
-    new[1:] = np.any(facets[1:] != facets[:-1], axis=1)
+    # the facet rows are gathered and sorted in the narrowest type that holds
+    # every ray index, which np.lexsort sorts fastest; it takes the last key
+    # as primary and needs at least one key
+    keys = cones.astype(np.min_scalar_type(len(fan.rays)))[:, _kept_columns(n)]
+    keys = keys.reshape(len(cones) * n, n - 1)
+    order = np.lexsort(keys.T[::-1]) if n > 1 else np.arange(len(keys))
+    facets = keys[order]
+    new = np.arange(len(facets)) == 0
+    for column in facets.T:
+        new[1:] |= column[1:] != column[:-1]
     starts = np.flatnonzero(new)
-    return _FacetTable(facets, order, cones[:, ::-1].reshape(-1)[order], starts,
+    return _FacetTable(facets.astype(np.intp), order, cones[:, ::-1].reshape(-1)[order], starts,
                        np.diff(np.append(starts, len(facets))))
 
 
@@ -636,9 +748,11 @@ def validate(fan):
     5. every ray lies in some maximal cone, so that the rays, which index
        the torus-invariant divisors, are the fan's own.
 
-    1 and 4 read the cones' determinants and adjugates, which one batched
-    exact elimination of all cone matrices computes and `Fan.cone_adjugates`
-    caches: a point's coordinates on a cone's rays are (point @ adj) / det.
+    1 and 4 read the cones' determinants and adjugates, which
+    `Fan.cone_adjugates` computes and caches, from one batched exact
+    elimination of all cone matrices, or of a product's factors' cone
+    matrices only: a point's coordinates on a cone's rays are
+    (point @ adj) / det.
     2 and 3 read the sorted facet table.  The side of cone C at a
     wall is whether det(wall rays, u) > 0, u the ray of C off the wall:
     moving u from its sorted place in C to the last row takes one row swap
