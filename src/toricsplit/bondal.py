@@ -9,15 +9,18 @@ summands order into a strongly exceptional collection.
 
 All relations of a fan come from one memoised array kernel, `_relations`:
 the wall table, one coefficient row per wall and the inadmissible rows.
-`bondal_criterion` wraps its rows into `WallRelation` objects; the CLI
-reads the arrays directly.
+`bondal_criterion` wraps its rows into `WallRelation` objects.  The CLI
+runs the kernel on each coordinate factor only (`_violations`): a
+product's walls are a factor's walls times the other factors' cones, and
+their relations the factor's, padded with zeros.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fan import _per_fan, _wall_arrays, walls
+from .fan import _factors, _outer_rows, _per_fan, _wall_arrays, walls
 from .lattice import NotUnimodular, _exact_matmul, _narrow
 
 
@@ -147,3 +150,54 @@ def bondal_criterion(fan):
     relations = tuple(WallRelation(w, tuple(c)) for w, c in zip(walls(fan), coeffs.tolist()))
     violations = tuple(relations[i] for i in inadmissible)
     return BondalVerdict(not violations, relations, violations)
+
+
+@dataclass(frozen=True)
+class _Violations:
+    """The wall count and the inadmissible walls of a fan, one row each, in
+    the order of `walls(fan)`."""
+    walls: int
+    rays: np.ndarray     # (violations, dim - 1)
+    u_plus: np.ndarray
+    u_minus: np.ndarray
+    coeffs: np.ndarray   # (violations, dim - 1), the relation on `rays`
+
+
+def _violations(fan):
+    """`_Violations` of a smooth complete fan from its factors' `_relations`.
+
+    Over `fan._factors`, a wall of the product is a wall of one factor f
+    joined with one maximal cone of every other factor g, so the product
+    has sum_f walls_f * prod_{g != f} cones_g walls.  Its two cones are the
+    factor wall's two cones joined with the same cones, and its relation is
+    the factor's, zero on the other factors' rays, which are in the wall's
+    span; so it is admissible exactly when the factor's is.  Each failing
+    factor row is crossed with the other factors' cones (`_outer_rows`),
+    mapped through the factor's increasing ray group, which keeps u_plus
+    the smaller completing ray, and each row is sorted by ray; the rows of
+    all factors are then sorted, as the walls are.  A fan that is no
+    product is its own single factor, with its own rows.
+    """
+    factors = _factors(fan)
+    count, found = 0, []
+    for f, (factor, group) in enumerate(factors):
+        a, coeffs, bad = _relations(factor)
+        others = factors[:f] + factors[f + 1:]
+        copies = math.prod(len(other.max_cones) for other, _ in others)
+        count += len(coeffs) * copies
+        group = np.asarray(group, dtype=np.intp)
+        rays = _outer_rows(group[a.rays[bad]],
+                           *(np.asarray(g, dtype=np.intp)[other.cone_indices]
+                             for other, g in others))
+        coeffs = _outer_rows(coeffs[bad], *(np.zeros_like(other.cone_indices)
+                                            for other, _ in others))
+        order = np.argsort(rays, axis=1)
+        found.append((np.take_along_axis(rays, order, axis=1),
+                      np.repeat(group[a.u_plus[bad]], copies),
+                      np.repeat(group[a.u_minus[bad]], copies),
+                      np.take_along_axis(coeffs, order, axis=1)))
+    rays, u_plus, u_minus, coeffs = (np.concatenate(part) for part in zip(*found))
+    # np.lexsort takes the last key as primary and needs at least one key;
+    # a curve's walls are points, and relations without coefficients pass
+    order = np.lexsort(rays.T[::-1]) if fan.dim > 1 else np.arange(len(rays))
+    return _Violations(count, rays[order], u_plus[order], u_minus[order], coeffs[order])

@@ -258,13 +258,14 @@ def _cmd_frobenius(args):
 
 def _cmd_bondal(args):
     fan = _load_fan(args)
-    # the rows of bondal_criterion, read from its arrays without per-wall objects
-    walls, coeffs, bad = bondal_mod._relations(fan)
+    # the rows of bondal_criterion, read from the factors' arrays without
+    # per-wall objects
+    found = bondal_mod._violations(fan)
     violations = [{"rays": rays, "u_plus": u_plus, "u_minus": u_minus, "coeffs": row}
                   for rays, u_plus, u_minus, row in zip(
-                      walls.rays[bad].tolist(), walls.u_plus[bad].tolist(),
-                      walls.u_minus[bad].tolist(), coeffs[bad].tolist())]
-    payload = {"pass": not violations, "walls": len(coeffs), "violations": violations}
+                      found.rays.tolist(), found.u_plus.tolist(),
+                      found.u_minus.tolist(), found.coeffs.tolist())]
+    payload = {"pass": not violations, "walls": found.walls, "violations": violations}
     return payload, 1 if violations else 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fan import _integers, _per_fan
+from .fan import _factors, _integers, _per_fan
 from .lattice import _exact_matmul, _narrow, as_vector, smith_normal_form, solve_integral
 
 
@@ -117,5 +117,14 @@ def positivity(fan, divisor, mode):
 
 
 def is_fano(fan):
-    """Fano means the anticanonical divisor -K is ample."""
-    return positivity(fan, (1,) * len(fan.rays), "ample").ok
+    """Fano means the anticanonical divisor -K is ample.
+
+    It is decided on each coordinate factor (`fan._factors`): -K of a
+    product is the exterior product of its factors' -K, and the ample test
+    of `positivity` on a product cone and a ray of one factor reads only
+    that factor's cone and ray, so a product is Fano exactly when every
+    factor is.  On a product that is not smooth, the NotUnimodular raised
+    names a factor's cone.
+    """
+    return all(positivity(factor, (1,) * len(factor.rays), "ample").ok
+               for factor, _ in _factors(fan))

@@ -56,12 +56,58 @@ def _integers(values, what):
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
+def _cone_rows(max_cones, dim, count):
+    """The cones as sorted tuples of Python ints, read one by one; the
+    messages name the first cone, in the given order, that is not `dim`
+    distinct integers in range(count)."""
+    cones = []
+    for cone in max_cones:
+        c = tuple(sorted(_integers(cone, "cone indices")))
+        if len(c) != dim or len(set(c)) != dim:
+            raise ValueError(f"maximal cone {c} must consist of {dim} distinct rays")
+        if c and (c[0] < 0 or c[-1] >= count):
+            raise ValueError(f"cone {c} references a ray out of range")
+        cones.append(c)
+    return cones
+
+
+def _cone_array(max_cones, dim, count):
+    """The maximal cones as a (#cones, dim) intp array, each row sorted and
+    the rows sorted, with ValueError on an invalid or repeated cone.
+
+    A numpy integer (#cones, dim) array, as the product builders pass, is
+    checked in array passes, with the messages of `_cone_rows`: the first
+    row that repeats an index or leaves range(count) is named.  Anything
+    else (lists, generators, float, bool or object arrays) goes through
+    `_cone_rows` one cone at a time first, so that a list mixing numpy
+    bools with ints is refused as before rather than promoted by numpy.
+    """
+    if not (isinstance(max_cones, np.ndarray) and max_cones.dtype.kind in "iu"
+            and max_cones.shape[1:] == (dim,)):
+        cones = np.array(_cone_rows(max_cones, dim, count), dtype=np.intp).reshape(-1, dim)
+    else:
+        cones = np.sort(max_cones, axis=1)
+        repeated = (cones[:, 1:] == cones[:, :-1]).any(axis=1)
+        bad = np.flatnonzero(repeated | (cones[:, 0] < 0) | (cones[:, -1] >= count))
+        if len(bad):
+            c = tuple(cones[bad[0]].tolist())
+            if repeated[bad[0]]:
+                raise ValueError(f"maximal cone {c} must consist of {dim} distinct rays")
+            raise ValueError(f"cone {c} references a ray out of range")
+    cones = cones.astype(np.intp)[np.lexsort(cones.T[::-1])]
+    equal = np.flatnonzero((cones[1:] == cones[:-1]).all(axis=1))
+    if len(equal):
+        raise ValueError(f"duplicate maximal cone {tuple(cones[equal[0]].tolist())}")
+    return cones
+
+
 class Fan:
     """Immutable simplicial fan: ray generators plus maximal cone index sets.
 
     Rays keep the builder's order (divisors are addressed by ray index);
     maximal cones are normalised to sorted tuples and sorted overall, so cone
-    indices are canonical for a given ray order.
+    indices are canonical for a given ray order.  `cone_indices` holds the
+    same cones as a (#cones, dim) intp array (`_cone_array`).
     """
 
     def __init__(self, dim, rays, max_cones):
@@ -78,21 +124,11 @@ class Fan:
                 raise ValueError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("ray generators must be pairwise distinct")
-        cones = []
-        for cone in max_cones:
-            c = tuple(sorted(_integers(cone, "cone indices")))
-            if len(c) != dim or len(set(c)) != dim:
-                raise ValueError(f"maximal cone {c} must consist of {dim} distinct rays")
-            if c and (c[0] < 0 or c[-1] >= len(rays)):
-                raise ValueError(f"cone {c} references a ray out of range")
-            cones.append(c)
-        cones.sort()
-        for a, b in zip(cones, cones[1:]):
-            if a == b:
-                raise ValueError(f"duplicate maximal cone {a}")
+        cones = _cone_array(max_cones, dim, len(rays))
         self.dim = dim
         self.rays = rays
-        self.max_cones = tuple(cones)
+        self.max_cones = tuple(map(tuple, cones.tolist()))
+        self.cone_indices = cones
         self._cache = {}
 
     def __repr__(self):
@@ -105,11 +141,6 @@ class Fan:
         return as_matrix(self.rays)
 
     @cached_property
-    def cone_indices(self):
-        """(#cones, dim) intp array of the maximal cones' ray indices."""
-        return np.array(self.max_cones, dtype=np.intp).reshape(-1, self.dim)
-
-    @cached_property
     def cone_matrices(self):
         """(#cones, dim, dim) array: each maximal cone's rays as rows, in
         int64 when every ray entry fits (`lattice._narrow`), Python ints
@@ -120,16 +151,16 @@ class Fan:
     def cone_adjugates(self):
         """(dets, adjs) of all cone matrices, a (#cones,) and a (#cones, dim,
         dim) array.  A product of fans on disjoint blocks of coordinates
-        (`_factor_layout`, which `_coordinate_factors` reads too) assembles
-        them from one elimination of its factors' cone matrices
-        (`_factored_adjugates`), in int64 when `lattice._exact_product`
-        allows; any other fan takes one batched exact elimination of all
-        its cone matrices, int64 under its Hadamard bound, Python ints
-        otherwise."""
-        layout = _factor_layout(self)
-        if layout is None:
+        (`_coordinate_factors`) assembles them from its factor fans' own
+        cached `cone_adjugates` (`_factored_adjugates`), in int64 when
+        `lattice._exact_product` allows; any other fan, and every fan while
+        `_coordinate_factors` is patched to find no product, takes one
+        batched exact elimination of all its cone matrices, int64 under its
+        Hadamard bound, Python ints otherwise."""
+        factors = _coordinate_factors(self)
+        if factors is None:
             return _bareiss(self.cone_matrices, True)
-        return _factored_adjugates(self, layout)
+        return _factored_adjugates(self, factors)
 
     @cached_property
     def cone_inverses(self):
@@ -292,9 +323,12 @@ def del_pezzo(r):
         raise InvalidSpec(f"del Pezzo surfaces are built for r in 1..3, got {r}")
     drop = {3: (), 2: ((1, -1),), 1: ((1, -1), (-1, 0))}[r]
     rays = [v for v in _HEXAGON if v not in drop]
-    m = len(rays)
-    cones = [(i, (i + 1) % m) for i in range(m)]
-    return _validated(Fan(2, rays, cones), f"dP({r})")
+    return _validated(Fan(2, rays, _cycle(len(rays))), f"dP({r})")
+
+
+def _cycle(m):
+    """The maximal cones of a polygon fan on m rays listed around it."""
+    return [(i, (i + 1) % m) for i in range(m)]
 
 
 def hirzebruch(a):
@@ -363,18 +397,29 @@ def tower_primitive_pairs(d):
 def del_pezzo_bundle(d):
     """The d-dimensional (dP3)^((d-1)/2)-fiber bundle over P^1, d odd >= 3.
 
-    Maximal cones are derived from the primitive pair list and the result is
-    validated before being returned.  At d = 3 the fan is not a product.
-    For d >= 5 its Xd:3 rays use coordinates 0-2 and each further hexagon
-    its own pair of coordinates, so it is the product fan
-    Xd:3 x dP3^((d-3)/2), with the rays in another order.
+    Xd:3 is not a product: its 12 maximal cones are derived from its
+    primitive pair list.  For d >= 5 the Xd:3 rays use coordinates 0-2 and
+    each further hexagon its own pair of coordinates, so the fan is the
+    product Xd:3 x dP3^((d-3)/2) with the rays in another order: its cones
+    are every union of one of Xd:3's cones with one cone of each hexagon
+    (`_outer_rows`), all mapped to `tower_rays(d)` indices.  The result is
+    validated before being returned.
     """
     d = _integers((d,), "tower dimension")[0]
     if d < 3 or d % 2 == 0:
         raise InvalidSpec(f"the tower is defined for odd d >= 3, got {d}")
     rays = tower_rays(d)
-    cones = maximal_cones_from_primitive_pairs(rays, tower_primitive_pairs(d))
-    return _validated(Fan(d, rays, cones), f"tower d={d}")
+    index = {r: i for i, r in enumerate(rays)}
+
+    def embedded(factor_rays, cones, first):
+        # the factor's cones on the tower's rays, its coordinates from `first` on
+        pad = (0,) * (d - first - len(factor_rays[0]))
+        return np.array([index[(0,) * first + r + pad] for r in factor_rays])[np.asarray(cones)]
+
+    base = tower_rays(3)
+    parts = [embedded(base, maximal_cones_from_primitive_pairs(base, tower_primitive_pairs(3)), 0)]
+    parts += [embedded(_HEXAGON, _cycle(len(_HEXAGON)), first) for first in range(3, d, 2)]
+    return _validated(Fan(d, rays, _outer_rows(*parts)), f"tower d={d}")
 
 
 def maximal_cones_from_primitive_pairs(rays, forbidden_pairs):
@@ -412,14 +457,24 @@ def maximal_cones_from_primitive_pairs(rays, forbidden_pairs):
     return tuple(map(tuple, sets.tolist()))
 
 
+def _outer_rows(*parts):
+    """Every concatenation of one row of each 2-d array, in
+    `itertools.product` order (the first array's row varies slowest): a
+    (prod #rows, sum #columns) array, in the arrays' common dtype."""
+    rows = np.zeros((1, 0), dtype=np.result_type(*parts))
+    for part in parts:
+        rows = np.concatenate([np.repeat(rows, len(part), axis=0),
+                               np.tile(part, (len(rows), 1))], axis=1)
+    return rows
+
+
 def fan_product(f1, f2):
-    """Product fan: embedded rays of f1 then f2, all unions of maximal cones."""
+    """Product fan: embedded rays of f1 then f2, every union of a maximal
+    cone of f1 with one of f2 (`_outer_rows` of their cone arrays)."""
     n1, n2 = f1.dim, f2.dim
     rays = [r + (0,) * n2 for r in f1.rays]
     rays += [(0,) * n1 + r for r in f2.rays]
-    off = len(f1.rays)
-    cones = [c1 + tuple(off + i for i in c2)
-             for c1 in f1.max_cones for c2 in f2.max_cones]
+    cones = _outer_rows(f1.cone_indices, f2.cone_indices + len(f1.rays))
     return Fan(n1 + n2, rays, cones)
 
 
@@ -547,41 +602,36 @@ def _coordinate_factors(fan):
     shared, factors = {}, []
     for block, group, fs in zip(layout.coordinates, layout.groups, layout.factor_cones):
         rays = tuple(tuple(fan.rays[j][c] for c in block.tolist()) for j in group)
-        cones = tuple(map(tuple, np.searchsorted(group, fs).tolist()))
-        if (rays, cones) not in shared:
-            shared[rays, cones] = Fan(len(block), rays, cones)
-        factors.append((shared[rays, cones], group))
+        cones = np.searchsorted(group, fs)
+        key = rays, cones.tobytes()
+        if key not in shared:
+            shared[key] = Fan(len(block), rays, cones)
+        factors.append((shared[key], group))
     return factors
 
 
-def _factored_adjugates(fan, layout):
-    """`Fan.cone_adjugates` of a product from its factors' cone eliminations.
+def _factored_adjugates(fan, factors):
+    """`Fan.cone_adjugates` of a product from its factors' `cone_adjugates`.
 
-    Each factor's cone matrices B_b, taken from the fan's rays and padded
-    with an identity block to the largest factor dimension (which keeps
-    det B_b and puts adj B_b in the corner), go through one `_bareiss`
-    call.  Up to its row and column permutations, of sign s, a cone matrix
-    is block-diagonal in its factor cones' B_b, so det = s * prod det B_b,
-    and its adjugate holds s * prod_{j != b} det B_j * adj B_b at block b's
-    coordinates and at the cone's rows of block b's rays.  Both are
-    polynomial identities, true also on singular cones.  The products run
-    through `lattice._exact_product`; the adjugates are laid out with the
-    cones along the last axis in memory.
+    A factor fan's cone matrices B_b are the fan's rays of its cones at the
+    block's coordinates, and its sorted cones are the `_FactorLayout`'s
+    factor cones, so each distinct factor (equal factors share one fan) is
+    eliminated once, in its own dtype, and cached on it.  Up to its row and
+    column permutations, of sign s, a cone matrix is block-diagonal in its
+    factor cones' B_b, so det = s * prod det B_b, and its adjugate holds
+    s * prod_{j != b} det B_j * adj B_b at block b's coordinates and at the
+    cone's rows of block b's rays.  Both are polynomial identities, true
+    also on singular cones.  The products run through
+    `lattice._exact_product`; the adjugates are laid out with the cones
+    along the last axis in memory.
     """
+    layout = _factor_layout(fan)
     n, k = fan.dim, len(fan.max_cones)
-    rays = _narrow(fan.ray_matrix)
-    dims = list(map(len, layout.coordinates))
-    ends = list(itertools.accumulate(map(len, layout.factor_cones)))
-    mats = np.zeros((ends[-1], max(dims), max(dims)), dtype=rays.dtype)
-    mats[:, range(max(dims)), range(max(dims))] = 1
-    for end, d, coordinates, fs in zip(ends, dims, layout.coordinates, layout.factor_cones):
-        mats[end - len(fs):end, :d, :d] = rays[fs][:, :, coordinates]
-    factor_dets, factor_adjs = _bareiss(mats, True)
     dets, corners = [], []  # per block, gathered to the cones, which run last
-    for end, d, fs, c in zip(ends, dims, layout.factor_cones, layout.cones):
-        dets.append(factor_dets[end - len(fs):end][c])
-        corners.append(np.take(np.moveaxis(factor_adjs[end - len(fs):end, :d, :d], 0, -1), c,
-                               axis=-1))
+    for (factor, _), c in zip(factors, layout.cones):
+        factor_dets, factor_adjs = factor.cone_adjugates
+        dets.append(factor_dets[c])
+        corners.append(np.take(np.moveaxis(factor_adjs, 0, -1), c, axis=-1))
     blocks = [_exact_product(corner, layout.sign, *dets[:b], *dets[b + 1:])
               for b, corner in enumerate(corners)]
     adjs = np.zeros(n * n * k, dtype=np.result_type(*blocks))

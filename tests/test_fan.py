@@ -133,6 +133,18 @@ class TestTower:
         assert len(fan.rays) == 3 * d - 1 == nrays
         assert len(fan.max_cones) == 2 * 6 ** ((d - 1) // 2) == ncones
 
+    @pytest.mark.parametrize("d", [5, 7, 9, 11])
+    def test_product_matches_primitive_pairs(self, d):
+        # the tower is built as Xd:3 x dP3^((d-3)/2); the primitive-pair
+        # construction over all its rays is the reference
+        rays = tower_rays(d)
+        reference = Fan(d, rays, maximal_cones_from_primitive_pairs(
+            rays, tower_primitive_pairs(d)))
+        fan = del_pezzo_bundle(d)
+        assert fan.rays == reference.rays
+        assert fan.max_cones == reference.max_cones
+        assert validate(fan).ok
+
     def test_even_d_rejected(self):
         with pytest.raises(InvalidSpec):
             del_pezzo_bundle(4)
