@@ -17,8 +17,8 @@ from functools import cache, cached_property, wraps
 
 import numpy as np
 
-from .lattice import (NotUnimodular, _bareiss, _exact_matmul, _exact_product,
-                      _fits_elimination, _narrow, as_matrix)
+from .lattice import (NotUnimodular, _bareiss, _exact_matmul, _fits_elimination, _narrow,
+                      as_matrix)
 
 
 class InvalidSpec(ValueError):
@@ -150,17 +150,9 @@ class Fan:
     @cached_property
     def cone_adjugates(self):
         """(dets, adjs) of all cone matrices, a (#cones,) and a (#cones, dim,
-        dim) array.  A product of fans on disjoint blocks of coordinates
-        (`_coordinate_factors`) assembles them from its factor fans' own
-        cached `cone_adjugates` (`_factored_adjugates`), in int64 when
-        `lattice._exact_product` allows; any other fan, and every fan while
-        `_coordinate_factors` is patched to find no product, takes one
-        batched exact elimination of all its cone matrices, int64 under its
-        Hadamard bound, Python ints otherwise."""
-        factors = _coordinate_factors(self)
-        if factors is None:
-            return _bareiss(self.cone_matrices, True)
-        return _factored_adjugates(self, factors)
+        dim) array, from one batched exact elimination (`lattice._bareiss`).
+        On a product of fans, `validate` and the CLI read the factors' own."""
+        return _bareiss(self.cone_matrices, True)
 
     @cached_property
     def cone_inverses(self):
@@ -511,22 +503,10 @@ def _product_facets(cones, blocks):
     return facets if math.prod(map(len, facets)) == len(cones) else None
 
 
-@dataclass(frozen=True)
-class _FactorLayout:
-    """Where the coordinate factors of a product fan sit in its cones, one
-    entry per block of coordinates in each tuple."""
-    coordinates: tuple   # the block's coordinates, sorted
-    groups: tuple        # the block's rays, sorted, as a list of ray indices
-    factor_cones: tuple  # (factor cones, block dim) the factor's sorted cones, on the fan's rays
-    cones: tuple         # (#cones,) the factor cone of each cone
-    rows: tuple          # (block dim, #cones) the positions of the block's rays in each cone
-    sign: np.ndarray     # (#cones,) sign of each cone's row and column permutations
-
-
 @_per_fan
-def _factor_layout(fan):
-    """The `_FactorLayout` of a fan that is the product of fans on disjoint
-    blocks of coordinates, else None.
+def _coordinate_factors(fan):
+    """[(factor fan, its ray indices)] when the fan is the product of fans
+    on disjoint blocks of coordinates, else None.
 
     The blocks are the components of the graph on the coordinates in which
     two coordinates are joined when some ray is nonzero in both, so every
@@ -535,16 +515,14 @@ def _factor_layout(fan):
     are at least two blocks, every cone has as many rays of each block as
     the block has coordinates, and the numbers of distinct restrictions of
     the cones to the blocks multiply to the number of cones (see
-    `_product_facets`).
+    `_product_facets`).  A stable argsort of each cone's rays by their
+    block puts block b's rays in a run of positions, and a lexsort of that
+    run with one compare pass gives the factor's distinct cones.
 
-    The per-cone arrays are passes over `Fan.cone_indices`: a stable
-    argsort of each cone's rays by their block puts block b's rays in a run
-    of positions, and a lexsort of that run ranks each cone's restriction
-    among the factor's sorted cones.  Sorting a cone's rows by block swaps
-    each pair of rays of blocks b < c whose ray of c comes first, which
-    depends only on the two factor cones; so the sign is read from one
-    table over each pair of factors, times the constant sign of listing the
-    coordinates block by block.
+    A factor fan has the block's rays, in the fan's order and restricted to
+    the block's coordinates, and those cones.  Equal factors share one fan,
+    and so one cache.  `validate`, Bondal's check, cohomology scans and
+    Frobenius splittings all run factor by factor on these.
     """
     if not fan.max_cones:
         return None
@@ -556,89 +534,30 @@ def _factor_layout(fan):
     for b, block in enumerate(coordinates):
         owner[block] = b
     ray_owner = owner[support.argmax(axis=1)]
+    # (dim, #cones), column c cone c's rays block by block: lexsort keys are rows
     n, k = fan.dim, len(fan.max_cones)
-    rows = np.argsort(np.take(ray_owner, fan.cone_indices.T), axis=0, kind="stable")
+    rows = np.argsort(ray_owner[fan.cone_indices.T], axis=0, kind="stable")
     ordered = np.take(fan.cone_indices, rows + np.arange(0, n * k, n))
     dims = list(map(len, coordinates))
     if (ray_owner[ordered] != np.repeat(np.arange(len(dims)), dims)[:, None]).any():
         return None
-    ends = list(itertools.accumulate(dims))
-    factor_cones, cones = [], []
-    for end, d in zip(ends, dims):
-        part = ordered[end - d:end]
-        order = np.lexsort(part[::-1])
-        part = part[:, order]
+    shared, factors = {}, []
+    for b, (block, end) in enumerate(zip(coordinates, itertools.accumulate(dims))):
+        part = ordered[end - len(block):end]
+        part = part[:, np.lexsort(part[::-1])]
         new = np.arange(k) == 0
         for row in part:
             new[1:] |= row[1:] != row[:-1]
-        rank = np.empty(k, dtype=np.intp)
-        rank[order] = np.cumsum(new) - 1
-        factor_cones.append(part[:, new].T)
-        cones.append(rank)
-    if math.prod(map(len, factor_cones)) != k:
-        return None
-    swaps = sum(map(operator.gt, *zip(*itertools.combinations(owner.tolist(), 2))))
-    for (b, rays_b), (c, rays_c) in itertools.combinations(enumerate(factor_cones), 2):
-        table = (rays_b[:, None, :, None] > rays_c[None, :, None, :]).sum(axis=(2, 3))
-        swaps = swaps + table[cones[b], cones[c]]
-    return _FactorLayout(tuple(np.array(c, dtype=np.intp) for c in coordinates),
-                         tuple(np.flatnonzero(ray_owner == b).tolist() for b in range(len(dims))),
-                         tuple(factor_cones), tuple(cones),
-                         tuple(rows[end - d:end] for end, d in zip(ends, dims)),
-                         1 - 2 * (swaps % 2))
-
-
-@_per_fan
-def _coordinate_factors(fan):
-    """[(factor fan, its ray indices)] when the fan is the product of fans
-    on disjoint blocks of coordinates (`_factor_layout`), else None.
-
-    Equal factors share one fan, and so one cache.  Cohomology scans and
-    Frobenius splittings both run factor by factor on these.
-    """
-    layout = _factor_layout(fan)
-    if layout is None:
-        return None
-    shared, factors = {}, []
-    for block, group, fs in zip(layout.coordinates, layout.groups, layout.factor_cones):
-        rays = tuple(tuple(fan.rays[j][c] for c in block.tolist()) for j in group)
-        cones = np.searchsorted(group, fs)
+        group = np.flatnonzero(ray_owner == b).tolist()
+        rays = tuple(tuple(fan.rays[j][c] for c in block) for j in group)
+        cones = np.searchsorted(group, part[:, new].T)
         key = rays, cones.tobytes()
         if key not in shared:
             shared[key] = Fan(len(block), rays, cones)
         factors.append((shared[key], group))
+    if math.prod(len(factor.max_cones) for factor, _ in factors) != k:
+        return None
     return factors
-
-
-def _factored_adjugates(fan, factors):
-    """`Fan.cone_adjugates` of a product from its factors' `cone_adjugates`.
-
-    A factor fan's cone matrices B_b are the fan's rays of its cones at the
-    block's coordinates, and its sorted cones are the `_FactorLayout`'s
-    factor cones, so each distinct factor (equal factors share one fan) is
-    eliminated once, in its own dtype, and cached on it.  Up to its row and
-    column permutations, of sign s, a cone matrix is block-diagonal in its
-    factor cones' B_b, so det = s * prod det B_b, and its adjugate holds
-    s * prod_{j != b} det B_j * adj B_b at block b's coordinates and at the
-    cone's rows of block b's rays.  Both are polynomial identities, true
-    also on singular cones.  The products run through
-    `lattice._exact_product`; the adjugates are laid out with the cones
-    along the last axis in memory.
-    """
-    layout = _factor_layout(fan)
-    n, k = fan.dim, len(fan.max_cones)
-    dets, corners = [], []  # per block, gathered to the cones, which run last
-    for (factor, _), c in zip(factors, layout.cones):
-        factor_dets, factor_adjs = factor.cone_adjugates
-        dets.append(factor_dets[c])
-        corners.append(np.take(np.moveaxis(factor_adjs, 0, -1), c, axis=-1))
-    blocks = [_exact_product(corner, layout.sign, *dets[:b], *dets[b + 1:])
-              for b, corner in enumerate(corners)]
-    adjs = np.zeros(n * n * k, dtype=np.result_type(*blocks))
-    cone = np.arange(k)
-    for block, coordinates, rows in zip(blocks, layout.coordinates, layout.rows):
-        adjs[(n * k * coordinates)[:, None, None] + (k * rows + cone)] = block
-    return _exact_product(layout.sign, *dets), adjs.reshape(n, n, k).transpose(2, 0, 1)
 
 
 def _factors(fan):
@@ -800,9 +719,8 @@ def validate(fan):
 
     1 and 4 read the cones' determinants and adjugates, which
     `Fan.cone_adjugates` computes and caches, from one batched exact
-    elimination of all cone matrices, or of a product's factors' cone
-    matrices only: a point's coordinates on a cone's rays are
-    (point @ adj) / det.
+    elimination of all cone matrices: a point's coordinates on a cone's
+    rays are (point @ adj) / det.
     2 and 3 read the sorted facet table.  The side of cone C at a
     wall is whether det(wall rays, u) > 0, u the ray of C off the wall:
     moving u from its sorted place in C to the last row takes one row swap
@@ -815,7 +733,18 @@ def validate(fan):
     and no two cones overlap.  A multi-fan winding twice around the origin
     passes 1-3 and fails 4.  All five tests are exact; 5 runs only once 1-4
     pass.
+
+    A product of fans on disjoint blocks of coordinates
+    (`_coordinate_factors`) passes when every factor passes: up to row and
+    column order its cone matrices are block-diagonal in its factors', so
+    their determinants are the factors' products up to sign; its cones, one
+    cone of each factor, cover the product space and meet in products of
+    faces; and each ray lies in a cone of its factor.  When a factor fails,
+    the whole fan is checked as above, so the messages name its own cones.
     """
+    factors = _coordinate_factors(fan)
+    if factors is not None and all(validate(factor).ok for factor, _ in factors):
+        return ValidationReport(True, True, True)
     messages = []
     det_array = fan.cone_adjugates[0]
     dets = det_array.tolist()

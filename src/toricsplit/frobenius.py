@@ -115,7 +115,6 @@ def _factored_classes(fan, a, p, base_cone):
     factors'; representatives and smallest exponent vectors scatter the
     factors' to their rays and base-cone positions, and one lexsort of
     those vectors gives the dict order."""
-    fan.cone_inverses  # NotUnimodular from the fan's own cones
     cone = fan.max_cones[base_cone]
     factors = _factors(fan)
     splits, positions = [], []
@@ -177,6 +176,8 @@ def thomsen_split(fan, divisor, p, base_cone=0):
     lexicographically smallest exponent vectors, whose summands are their
     representatives.  Every fan is split factor by factor, a fan that is
     no product being its own single factor (see the module docstring).
+    On a product that is not smooth, the NotUnimodular raised names a
+    factor's cone, in the factor's ray indices.
     """
     _pic_projection(fan)  # TorsionDetected before the argument checks
     a, p, base_cone = _checked(fan, divisor, p, base_cone)

@@ -3,10 +3,11 @@
 Everything here works over Z without silent overflow.  Matrices and vectors
 are numpy arrays of dtype=object holding Python ints, so intermediate values
 (Smith multipliers in particular) can grow freely.  int64 results come only
-from the batched elimination `_bareiss` and the products `_exact_matmul` and
-`_exact_product`, each when a checked bound proves every value fits, and from
-`_narrow`; no other module chooses between int64 and Python ints.  Matrices
-are row-major; a vector is a 1-d array.
+from the batched elimination `_bareiss` and the product `_exact_matmul`,
+each when a checked bound proves every value fits, and from `_narrow`; no
+other module chooses between int64 and Python ints.  Every cone
+determinant and adjugate comes from `_bareiss` on one fan's whole cone
+stack.  Matrices are row-major; a vector is a 1-d array.
 """
 
 import math
@@ -68,19 +69,6 @@ def _exact_matmul(a, b):
     bound = a.shape[-1] * max(_largest(a), 1) * max(_largest(b), 1)
     dtype = np.int64 if bound < 2 ** 63 else object
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-
-
-def _exact_product(*factors):
-    """The elementwise product of the factors exactly, with numpy's
-    broadcasting, for int64 or object arrays: in int64 when the product of
-    their largest |entries| (each taken at least 1) is below 2^63, which
-    bounds every entry, else in Python ints."""
-    bound = math.prod(max(_largest(f), 1) for f in factors)
-    dtype = np.int64 if bound < 2 ** 63 else object
-    out = factors[0].astype(dtype, copy=False)
-    for f in factors[1:]:
-        out = out * f.astype(dtype, copy=False)
-    return out
 
 
 def _fits_elimination(n, e):

@@ -1,23 +1,28 @@
-"""Differential tests: `Fan.cone_adjugates` of a product, assembled from its
-factors' eliminations, against one elimination of all its cone matrices.
+"""Differential tests: `validate` of a product, answered from its factors,
+against the whole-fan checks.
 
-The values must agree exactly; the dtype may be narrower, because the
-assembled products are bounded by the factors' own values.  Permuted copies
-shuffle the rays and the coordinates, so the factors' rays interleave in the
-cones and the row and column permutations have both signs.  The facet
-table's narrow sort keys are checked against a plain Python sort where the
-key type widens from uint8 to uint16.
+A product of fans on disjoint blocks of coordinates whose factors all pass
+is reported valid without forming its own cone adjugates or facet table;
+one with a failing factor runs the whole-fan checks.  The reference is
+`validate` on a fresh copy of the fan with `fan._coordinate_factors`
+patched to find no product, so that every check runs on the whole fan, and
+the two reports must be equal, messages included.  Permuted copies shuffle
+the rays and the coordinates, so the factors' rays interleave in the cones.
+The CLI commands on named products must never eliminate a product's cone
+matrices or sort its facets.  The facet table's narrow sort keys are
+checked against a plain Python sort where the key type widens from uint8
+to uint16.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from toricsplit import cli
 from toricsplit import fan as fan_mod
-from toricsplit.fan import (Fan, _coordinate_factors, _facet_table, _factor_layout, build_named,
-                            fan_product, validate)
-from toricsplit.lattice import _bareiss
+from toricsplit.fan import Fan, _coordinate_factors, _facet_table, build_named, fan_product, validate
 
 from test_factored_split import permuted
 from test_thomsen_oracle import SPECS
@@ -28,49 +33,47 @@ PRODUCTS = [spec for spec in SPECS if _coordinate_factors(build_named(spec))]
 SINGULAR = Fan(2, [(1, 0), (-1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
-def assert_matches_whole(fan):
-    assert _coordinate_factors(fan) is not None
-    dets, adjs = fan.cone_adjugates
-    whole_dets, whole_adjs = _bareiss(fan.cone_matrices, True)
-    assert dets.shape == whole_dets.shape and adjs.shape == whole_adjs.shape
-    assert dets.tolist() == whole_dets.tolist()
-    assert adjs.tolist() == whole_adjs.tolist()
-
-
-def whole_fan_messages(monkeypatch, fan):
+def whole_fan_report(monkeypatch, fan):
     with monkeypatch.context() as patch:
-        patch.setattr(fan_mod, "_factor_layout", lambda fan: None)
-        return validate(Fan(fan.dim, fan.rays, fan.max_cones)).messages
+        patch.setattr(fan_mod, "_coordinate_factors", lambda fan: None)
+        return validate(Fan(fan.dim, fan.rays, fan.max_cones))
+
+
+def assert_matches_whole(monkeypatch, fan):
+    """The factored report equals the whole-fan one; a passing product has
+    not formed its own adjugates, a failing one has."""
+    factors = _coordinate_factors(fan)
+    assert factors is not None
+    report = validate(fan)
+    assert report == whole_fan_report(monkeypatch, fan)
+    assert report.ok == all(validate(factor).ok for factor, _ in factors)
+    assert ("cone_adjugates" in vars(fan)) != report.ok
+    return report
 
 
 @pytest.mark.parametrize("spec", PRODUCTS + ["Xd:7", "P:1*P:1", "F:2*P:1", "P:2*P:2*P:1",
                                              "dP:3*dP:3*dP:3"])
-def test_products_match_whole_elimination(spec):
-    assert_matches_whole(build_named(spec))
+def test_products_match_whole_elimination(spec, monkeypatch):
+    assert assert_matches_whole(monkeypatch, build_named(spec)).ok
 
 
 @pytest.mark.parametrize("spec", PRODUCTS + ["F:2*P:1", "P:1*dP:3*dP:3"])
-def test_permuted_copies_match_whole_elimination(spec):
+def test_permuted_copies_match_whole_elimination(spec, monkeypatch):
     rng = random.Random(f"adjugates/{spec}")
-    signs = set()
     for _ in range(6):
-        fan = permuted(build_named(spec), rng)
-        assert_matches_whole(fan)
-        signs |= set(_factor_layout(fan).sign.tolist())
-    assert signs == {-1, 1}
+        assert assert_matches_whole(monkeypatch, permuted(build_named(spec), rng)).ok
 
 
 @pytest.mark.parametrize("other", ["P:1", "dP:3", "F:2"])
 def test_singular_factor_cone(other, monkeypatch):
-    # a det-0 factor cone sends its products' adjugates through the minors
-    # of the factor elimination
+    # a det-0 factor cone fails its factor, so the product's own cones are
+    # checked and named
     rng = random.Random(f"adjugates/singular/{other}")
     for fan in (fan_product(SINGULAR, build_named(other)),
                 fan_product(build_named(other), SINGULAR)):
         for copy in (fan, permuted(fan, rng)):
-            assert_matches_whole(copy)
-            assert 0 in copy.cone_adjugates[0].tolist()
-            assert validate(copy).messages == whole_fan_messages(monkeypatch, copy)
+            report = assert_matches_whole(monkeypatch, copy)
+            assert not report.smooth and 0 in copy.cone_adjugates[0].tolist()
 
 
 def test_failing_products_keep_their_messages(monkeypatch):
@@ -78,17 +81,45 @@ def test_failing_products_keep_their_messages(monkeypatch):
     fans = [fan_product(Fan(2, dp3.rays, dp3.max_cones[1:]), build_named("P:1")),
             fan_product(build_named("P:1"), Fan(1, [(1,), (-1,)], [(0,)])),
             fan_product(Fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
-                        build_named("P:1"))]
+                        build_named("P:1")),
+            # P:2 with the ray (1, 1) in no cone
+            fan_product(build_named("P:1"),
+                        Fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)]))]
     for fan in fans:
-        assert _coordinate_factors(fan) is not None
-        assert not validate(fan).ok
-        assert validate(fan).messages == whole_fan_messages(monkeypatch, fan)
+        assert not assert_matches_whole(monkeypatch, fan).ok
+    assert validate(fans[3]).messages == ("ray 5 (0, 1, 1) lies in no maximal cone",)
 
 
 def test_fan_without_cones_is_no_product():
     fan = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [])
     assert _coordinate_factors(fan) is None
     assert validate(fan).messages == ("the fan has no maximal cones",)
+
+
+@pytest.mark.parametrize("argv", [
+    ["variety", "info", "Xd:9"],
+    ["bondal", "check", "--variety", "Xd:9"],
+    ["frobenius", "split", "--variety", "Xd:7", "--p", "2"],
+    ["frobenius", "verify", "--variety", "Xd:5", "--p", "3"],
+])
+def test_cli_never_eliminates_a_product(argv, monkeypatch):
+    # every fan that reaches the facet table or the cone elimination of
+    # `Fan.cone_adjugates` (the caller's `self`) is recorded
+    seen = []
+
+    def facet_table(fan, table=fan_mod._facet_table):
+        seen.append(fan)
+        return table(fan)
+
+    def bareiss(mats, adjugates, eliminate=fan_mod._bareiss):
+        seen.append(sys._getframe(1).f_locals["self"])
+        return eliminate(mats, adjugates)
+
+    monkeypatch.setattr(fan_mod, "_facet_table", facet_table)
+    monkeypatch.setattr(fan_mod, "_bareiss", bareiss)
+    assert cli.main(argv) == 0
+    assert seen  # the factors are checked
+    assert all(_coordinate_factors(fan) is None for fan in seen)
 
 
 @pytest.mark.parametrize("count", [255, 256, 257])

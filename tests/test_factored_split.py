@@ -19,8 +19,9 @@ import pytest
 from toricsplit import fan as fan_mod
 from toricsplit import frobenius
 from toricsplit.cohomology import line_bundle_cohomology
-from toricsplit.fan import Fan, _coordinate_factors, _factors, build_named
+from toricsplit.fan import Fan, _coordinate_factors, _factors, build_named, fan_product
 from toricsplit.frobenius import thomsen_split
+from toricsplit.lattice import NotUnimodular
 
 from test_thomsen_oracle import SPECS, cases, zero
 
@@ -126,6 +127,17 @@ def test_xd9_forms_only_factor_rows(monkeypatch):
     result = thomsen_split(fan, zero(fan), 4)
     assert (result.class_count, result.total_multiplicity) == (2592, 4 ** 9)
     assert sum(rows) <= 4 ** 3 + 3 * 4 ** 2
+
+
+def test_singular_product_names_a_factor_cone():
+    # P(1, 1, 2): cone (0, 2) has determinant -2.  A product with it is
+    # refused by its factor's split, which names the factor's cone; the CLI
+    # refuses such a fan file earlier, in `validate`
+    weighted = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    for fan in (fan_product(weighted, build_named("P:1")),
+                fan_product(build_named("P:1"), weighted)):
+        with pytest.raises(NotUnimodular, match=r"^cone \(0, 2\) has determinant -2$"):
+            thomsen_split(fan, zero(fan), 2)
 
 
 @pytest.mark.parametrize("spec", ["Xd:3", "dP:3*dP:3"])

@@ -439,47 +439,12 @@ class TestExactMatmul:
         assert lattice._narrow(edge - 1).dtype == object
 
 
-class TestExactProduct:
-    """The checked elementwise product at its int64 boundary."""
-
-    @pytest.mark.parametrize("a, b, fits", [
-        (7, (2 ** 63 - 1) // 7, True),  # 7 * 1,317,624,576,693,539,401 = 2^63 - 1
-        (2 ** 31, 2 ** 32 - 1, True),
-        (2, 2 ** 62, False),            # exactly 2^63
-        (3, 2 ** 62, False),
-        (0, 2 ** 70, False),            # every maximum counts as at least 1
-    ])
-    def test_boundary(self, a, b, fits):
-        left = np.array([[a], [-a], [1]], dtype=object)
-        right = np.array([b, 1, -b], dtype=object)
-        expected = [[a * b, a, -a * b], [-a * b, -a, a * b], [b, 1, -b]]
-        variants = [[m] + ([m.astype(np.int64)] if all(abs(x) < 2 ** 63 for x in m.flat) else [])
-                    for m in (left, right)]
-        for x, y in itertools.product(*variants):
-            got = lattice._exact_product(x, y)
-            assert got.dtype == (np.int64 if fits else object)
-            assert got.tolist() == expected
-
-    def test_many_factors_broadcast(self):
-        signs = np.array([1, -1], dtype=np.int64)
-        dets = np.array([2 ** 20, 3], dtype=np.int64)
-        adjs = np.arange(8, dtype=np.int64).reshape(2, 2, 2)
-        got = lattice._exact_product(adjs, signs[:, None, None], dets[:, None, None],
-                                     dets[:, None, None])
-        assert got.dtype == np.int64
-        assert got.tolist() == [[[int(x) * 2 ** 40 for x in row] for row in adjs[0].tolist()],
-                                [[-9 * int(x) for x in row] for row in adjs[1].tolist()]]
-        big = lattice._exact_product(adjs, dets[:, None, None], dets[:, None, None],
-                                     dets[:, None, None], dets[:, None, None])
-        assert big.dtype == object
-        assert big[0, 1, 1] == 3 * 2 ** 80
-
-
 def test_five_fold_product_beyond_int64(monkeypatch):
     # each factor's cones have determinants N, 2N and -N, so a cone of the
-    # five-fold product has |det| of order N^5 ~ 2^75: the assembled
-    # determinants and adjugates must leave int64, where an unchecked product
-    # would wrap around
+    # five-fold product has |det| of order N^5 ~ 2^75: the determinants and
+    # adjugates must leave int64, where an unchecked product would wrap
+    # around.  No factor is smooth, so `validate` checks the whole fan, as
+    # it does with `_coordinate_factors` patched to find no product
     n = 2 ** 15 - 1
     base = Fan(2, [(1, 0), (-1, n), (-1, -n)], [(0, 1), (1, 2), (0, 2)])
     fan = base
@@ -489,14 +454,10 @@ def test_five_fold_product_beyond_int64(monkeypatch):
     dets, adjs = fan.cone_adjugates
     assert dets[0] == 37_773_167_607_267_111_108_607
     assert int(np.prod(np.full(5, n, dtype=np.int64))) == -5_764_255_690_050_600_961
-    whole_dets, whole_adjs = lattice._bareiss(fan.cone_matrices, True)
-    assert dets.tolist() == whole_dets.tolist()
-    assert adjs.tolist() == whole_adjs.tolist()
+    assert dets.dtype == adjs.dtype == object
     messages = validate(fan).messages
     with monkeypatch.context() as patch:
-        patch.setattr(fan_mod, "_factor_layout", lambda fan: None)
-        whole = Fan(fan.dim, fan.rays, fan.max_cones)
-        assert whole.cone_adjugates[0].tolist() == whole_dets.tolist()
-        assert validate(whole).messages == messages
+        patch.setattr(fan_mod, "_coordinate_factors", lambda fan: None)
+        assert validate(Fan(fan.dim, fan.rays, fan.max_cones)).messages == messages
     assert messages[0] == ("cone (0, 1, 3, 4, 6, 7, 9, 10, 12, 13) has determinant "
                            "37773167607267111108607")
