@@ -183,7 +183,7 @@ def _violations(fan):
     for f, (factor, group) in enumerate(factors):
         a, coeffs, bad = _relations(factor)
         others = factors[:f] + factors[f + 1:]
-        copies = math.prod(len(other.max_cones) for other, _ in others)
+        copies = math.prod(len(other.cone_indices) for other, _ in others)
         count += len(coeffs) * copies
         group = np.asarray(group, dtype=np.intp)
         rays = _outer_rows(group[a.rays[bad]],

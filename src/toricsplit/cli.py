@@ -152,7 +152,7 @@ def _load_fan(args, variety_attr="variety", fan_attr="fan"):
     except ValueError as exc:
         raise InputError(f"bad fan file {path}: {exc}") from exc
     with _input_errors():
-        fan_mod._refuse_oversized(f"fan in {path}", fan.dim, len(fan.max_cones),
+        fan_mod._refuse_oversized(f"fan in {path}", fan.dim, len(fan.cone_indices),
                                   max(abs(x) for ray in fan.rays for x in ray))
     report = validate(fan)
     if not report.ok:
@@ -207,11 +207,11 @@ def _cmd_variety(args):
         "descriptor": args.descriptor,
         "dim": fan.dim,
         "rays": len(fan.rays),
-        "max_cones": len(fan.max_cones),
+        "max_cones": len(fan.cone_indices),
         "picard_rank": divisor_mod.picard_rank(fan),
         "fano": divisor_mod.is_fano(fan),
         # P(-1) of the Poincare polynomial: one torus-fixed point per maximal cone
-        "euler_characteristic": len(fan.max_cones),
+        "euler_characteristic": len(fan.cone_indices),
     }
     return info, 0
 
@@ -227,8 +227,8 @@ def _cmd_frobenius(args):
     div = _load_divisor(args, fan)
     if args.p < 1:
         raise InputError(f"--p must be >= 1, got {args.p}")
-    if not 0 <= args.base_cone < len(fan.max_cones):
-        raise InputError(f"--base-cone must be in [0, {len(fan.max_cones)})")
+    if not 0 <= args.base_cone < len(fan.cone_indices):
+        raise InputError(f"--base-cone must be in [0, {len(fan.cone_indices)})")
     if args.action == "verify" and any(div):
         raise InputError("frobenius verify checks the splitting of O: use the zero divisor")
     check = args.action == "split" and not args.no_stabilization_check and args.p >= 2

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .divisor import _coeffs, divisor_class
+from .divisor import _coeffs, _pic_projection
 from .fan import (_components, _factors, _faces, _mask, _per_fan, _poly_mul,
                   _product_facets, fan_product)
 
@@ -476,8 +476,8 @@ def find_strong_order(fan, bundles):
     bundles = [_coeffs(fan, d) for d in bundles]
     if not bundles:
         raise ValueError("need at least one bundle")
-    classes = [divisor_class(fan, d) for d in bundles]
-    if len(set(classes)) != len(classes):
+    classes = lattice._exact_matmul(np.array(bundles, dtype=object), _pic_projection(fan).T)
+    if len(set(map(tuple, classes.tolist()))) != len(bundles):
         raise ValueError("bundles must be pairwise non-equivalent")
     zero, higher = _pair_predicates(fan, bundles)
     if not higher[0, 0]:

@@ -105,9 +105,10 @@ class Fan:
     """Immutable simplicial fan: ray generators plus maximal cone index sets.
 
     Rays keep the builder's order (divisors are addressed by ray index);
-    maximal cones are normalised to sorted tuples and sorted overall, so cone
-    indices are canonical for a given ray order.  `cone_indices` holds the
-    same cones as a (#cones, dim) intp array (`_cone_array`).
+    maximal cones are normalised to sorted rows and sorted overall, so cone
+    indices are canonical for a given ray order.  `cone_indices` holds them
+    as a (#cones, dim) intp array (`_cone_array`), `max_cones` as tuples,
+    formed on first use for export, messages and library callers.
     """
 
     def __init__(self, dim, rays, max_cones):
@@ -124,16 +125,19 @@ class Fan:
                 raise ValueError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("ray generators must be pairwise distinct")
-        cones = _cone_array(max_cones, dim, len(rays))
         self.dim = dim
         self.rays = rays
-        self.max_cones = tuple(map(tuple, cones.tolist()))
-        self.cone_indices = cones
+        self.cone_indices = _cone_array(max_cones, dim, len(rays))
         self._cache = {}
 
     def __repr__(self):
         return (f"Fan(dim={self.dim}, rays={len(self.rays)}, "
-                f"max_cones={len(self.max_cones)})")
+                f"max_cones={len(self.cone_indices)})")
+
+    @cached_property
+    def max_cones(self):
+        """`cone_indices` as a tuple of sorted tuples."""
+        return tuple(map(tuple, self.cone_indices.tolist()))
 
     @cached_property
     def ray_matrix(self):
@@ -159,9 +163,9 @@ class Fan:
         """(#cones, dim, dim) stack of the inverses det * adj, in the dtype of
         `cone_adjugates`; raises NotUnimodular unless the fan is smooth."""
         dets, adjs = self.cone_adjugates
-        for cone, det in zip(self.max_cones, dets.tolist()):
+        for i, det in enumerate(dets.tolist()):
             if det not in (1, -1):
-                raise NotUnimodular(f"cone {cone} has determinant {det}")
+                raise NotUnimodular(f"cone {self.max_cones[i]} has determinant {det}")
         return dets[:, None, None] * adjs
 
     @cached_property
@@ -389,12 +393,12 @@ def tower_primitive_pairs(d):
 def del_pezzo_bundle(d):
     """The d-dimensional (dP3)^((d-1)/2)-fiber bundle over P^1, d odd >= 3.
 
-    Xd:3 is not a product: its 12 maximal cones are derived from its
-    primitive pair list.  For d >= 5 the Xd:3 rays use coordinates 0-2 and
-    each further hexagon its own pair of coordinates, so the fan is the
-    product Xd:3 x dP3^((d-3)/2) with the rays in another order: its cones
-    are every union of one of Xd:3's cones with one cone of each hexagon
-    (`_outer_rows`), all mapped to `tower_rays(d)` indices.  The result is
+    Each hexagon takes its own pair of coordinates (1, 2), (3, 4), ..., and
+    every maximal cone joins one of v_0 = e_0 and w_0 = e_1 - e_0 with one
+    cone of each hexagon: the cones are the `_outer_rows` of [[v_0], [w_0]]
+    and the hexagons' cycles, in `tower_rays(d)` indices.  Xd:3 is no
+    product (w_0 couples coordinates 0 and 1); for d >= 5 the fan is
+    Xd:3 x dP3^((d-3)/2) with the rays in another order.  The result is
     validated before being returned.
     """
     d = _integers((d,), "tower dimension")[0]
@@ -403,15 +407,12 @@ def del_pezzo_bundle(d):
     rays = tower_rays(d)
     index = {r: i for i, r in enumerate(rays)}
 
-    def embedded(factor_rays, cones, first):
-        # the factor's cones on the tower's rays, its coordinates from `first` on
-        pad = (0,) * (d - first - len(factor_rays[0]))
-        return np.array([index[(0,) * first + r + pad] for r in factor_rays])[np.asarray(cones)]
-
-    base = tower_rays(3)
-    parts = [embedded(base, maximal_cones_from_primitive_pairs(base, tower_primitive_pairs(3)), 0)]
-    parts += [embedded(_HEXAGON, _cycle(len(_HEXAGON)), first) for first in range(3, d, 2)]
-    return _validated(Fan(d, rays, _outer_rows(*parts)), f"tower d={d}")
+    cycle = np.asarray(_cycle(len(_HEXAGON)))
+    # each hexagon's cones in tower ray indices, on its coordinates k, k + 1
+    hexagons = [np.array([index[(0,) * k + r + (0,) * (d - k - 2)] for r in _HEXAGON])[cycle]
+                for k in range(1, d, 2)]
+    cones = _outer_rows(np.array([[0], [2 * d - 1]]), *hexagons)
+    return _validated(Fan(d, rays, cones), f"tower d={d}")
 
 
 def maximal_cones_from_primitive_pairs(rays, forbidden_pairs):
@@ -514,17 +515,17 @@ def _coordinate_factors(fan):
     the product of its blocks' sub-fans when it has maximal cones, there
     are at least two blocks, every cone has as many rays of each block as
     the block has coordinates, and the numbers of distinct restrictions of
-    the cones to the blocks multiply to the number of cones (see
-    `_product_facets`).  A stable argsort of each cone's rays by their
-    block puts block b's rays in a run of positions, and a lexsort of that
-    run with one compare pass gives the factor's distinct cones.
+    the cones to the blocks multiply to the number of cones.  A stable
+    argsort of each cone's rays by their block puts block b's rays in a run
+    of positions, and a lexsort of that run with one compare pass gives the
+    factor's distinct cones.
 
     A factor fan has the block's rays, in the fan's order and restricted to
     the block's coordinates, and those cones.  Equal factors share one fan,
     and so one cache.  `validate`, Bondal's check, cohomology scans and
     Frobenius splittings all run factor by factor on these.
     """
-    if not fan.max_cones:
+    if not len(fan.cone_indices):
         return None
     support = (fan.ray_matrix != 0).astype(np.int64)
     coordinates = _components(support.T @ support > 0)
@@ -535,7 +536,7 @@ def _coordinate_factors(fan):
         owner[block] = b
     ray_owner = owner[support.argmax(axis=1)]
     # (dim, #cones), column c cone c's rays block by block: lexsort keys are rows
-    n, k = fan.dim, len(fan.max_cones)
+    n, k = fan.dim, len(fan.cone_indices)
     rows = np.argsort(ray_owner[fan.cone_indices.T], axis=0, kind="stable")
     ordered = np.take(fan.cone_indices, rows + np.arange(0, n * k, n))
     dims = list(map(len, coordinates))
@@ -555,7 +556,7 @@ def _coordinate_factors(fan):
         if key not in shared:
             shared[key] = Fan(len(block), rays, cones)
         factors.append((shared[key], group))
-    if math.prod(len(factor.max_cones) for factor, _ in factors) != k:
+    if math.prod(len(factor.cone_indices) for factor, _ in factors) != k:
         return None
     return factors
 
@@ -775,7 +776,7 @@ def validate(fan):
             facet = tuple(table.facets[table.starts[run]].tolist())
             messages.append(f"the two cones at wall {facet} lie on the same side of it")
     if complete:
-        point = sum(fan.ray_matrix[j] for j in fan.max_cones[0])
+        point = fan.ray_matrix[fan.cone_indices[0]].sum(axis=0)
         coords = _exact_matmul(point, fan.cone_adjugates[1])
         count = int(np.where((det_array > 0)[:, None], coords >= 0, coords <= 0).all(axis=1).sum())
         if count != 1:

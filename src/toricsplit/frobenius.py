@@ -11,8 +11,13 @@ the rays of l; then
 
 so the coefficient of D_v on ray v_j is -floor((<m, v_j> + a_j) / p).  The
 summands come out of one exact object-dtype array expression per block of
-_BLOCK exponent vectors, so grouping them by Picard class takes memory
-O(_BLOCK * #rays).  At most _MAX_SUMMANDS summands are allowed.
+_BLOCK exponent vectors, so grouping them takes memory O(_BLOCK * #rays).
+At most _MAX_SUMMANDS summands are allowed.
+
+Each summand is its own Picard class.  On a ray v_j of l, <m, v_j> + a_j
+= v_j, so every D_v is 0 on the n independent rays of l, and a difference
+div chi^m of two summands has m = 0.  Grouping by class is grouping equal
+summands, with no class map; only the representatives are mapped.
 
 Every fan is split factor by factor over `fan._factors`, the blocks of
 coordinates of which it is the product, a fan that is no product being its
@@ -24,10 +29,10 @@ summand D_v joins the factors' summands.  The classes are therefore all
 choices of one class per factor, multiplicities multiply, and the
 lexicographically smallest v of a class joins the factors' smallest v.  The
 class vectors are those of the joined representatives under the fan's own
-class map; a proper factor's class vectors are in another basis.  Only the
-factors' summands are enumerated, and each factor's split is memoised on
-the factor fan, which equal factors share: Xd:9 at p = 4 forms at most
-4^3 + 3 * 4^2 rows instead of 4^9.
+class map, the one Smith normal form of a split.  Only the factors'
+summands are enumerated, and each factor's split is memoised on the factor
+fan, which equal factors share: Xd:9 at p = 4 forms at most 4^3 + 3 * 4^2
+rows instead of 4^9.
 """
 
 import functools
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisor import _coeffs, _pic_projection, linearly_equivalent
+from .divisor import _coeffs, _pic_projection
 from .fan import _factors, _integers, _per_fan
 from .lattice import _exact_matmul
 
@@ -51,7 +56,7 @@ def _checked(fan, divisor, p, base_cone):
     p, base_cone = _integers((p, base_cone), "p and base cone")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not 0 <= base_cone < len(fan.max_cones):
+    if not 0 <= base_cone < len(fan.cone_indices):
         raise ValueError(f"base cone index {base_cone} out of range")
     if p ** fan.dim > _MAX_SUMMANDS:
         raise ValueError(f"p^n = {p}^{fan.dim} summands exceed the limit of "
@@ -69,7 +74,7 @@ def _summand_blocks(fan, a, p, base_cone):
     a = np.array(a, dtype=object)
     # -D_v = floor((v @ pairing - shift) / p), with m = (v - u_l) @ B_l^T
     pairing = fan.cone_inverses[base_cone].T @ fan.ray_matrix.T
-    shift = a[list(fan.max_cones[base_cone])] @ pairing - a
+    shift = a[fan.cone_indices[base_cone]] @ pairing - a
     vectors = itertools.product(range(p), repeat=fan.dim)
     while block := list(itertools.islice(vectors, _BLOCK)):
         yield -((np.array(block, dtype=object) @ pairing - shift) // p)
@@ -90,21 +95,16 @@ def summand_divisors(fan, divisor, p, base_cone=0):
 def _factor_classes(factor, a, p, base_cone):
     """(multiplicities, representatives, smallest exponent vectors) of the
     classes of one factor, as arrays in the order of the classes' first
-    rows, which give the representatives, from one pass over the blocks."""
-    projection = _pic_projection(factor).T
-    classes, start = {}, 0
-    for summands in _summand_blocks(factor, a, p, base_cone):
-        class_vectors = summands @ projection
-        for row, c, dv in zip(itertools.count(start), map(tuple, class_vectors.tolist()),
-                              map(tuple, summands.tolist())):
-            if c in classes:
-                classes[c][0] += 1
-            else:
-                classes[c] = [1, dv, row]
-        start += len(summands)
-    mults, reps, rows = zip(*classes.values())
+    rows, from one pass over the blocks.  Each summand is its own class
+    (see the module docstring), so equal summands are grouped."""
+    classes = {}
+    summands = itertools.chain.from_iterable(
+        block.tolist() for block in _summand_blocks(factor, a, p, base_cone))
+    for row, dv in enumerate(map(tuple, summands)):
+        classes.setdefault(dv, [0, row])[0] += 1
+    mults, rows = zip(*classes.values())
     digits = p ** np.arange(factor.dim - 1, -1, -1, dtype=np.int64)
-    return (np.array(mults, dtype=np.int64), np.array(reps, dtype=object),
+    return (np.array(mults, dtype=np.int64), np.array(list(classes), dtype=object),
             np.array(rows, dtype=np.int64)[:, None] // digits % p)
 
 
@@ -115,14 +115,14 @@ def _factored_classes(fan, a, p, base_cone):
     factors'; representatives and smallest exponent vectors scatter the
     factors' to their rays and base-cone positions, and one lexsort of
     those vectors gives the dict order."""
-    cone = fan.max_cones[base_cone]
+    cone = fan.cone_indices[base_cone]
     factors = _factors(fan)
     splits, positions = [], []
     for factor, group in factors:
-        local = {j: i for i, j in enumerate(group)}
-        positions.append([j in local for j in cone])
-        sub = factor.max_cones.index(tuple(local[j] for j in cone if j in local))
-        splits.append(_factor_classes(factor, tuple(a[j] for j in group), p, sub))
+        positions.append(np.isin(cone, group))
+        restricted = np.searchsorted(group, cone[positions[-1]])
+        sub = np.flatnonzero((factor.cone_indices == restricted).all(axis=1))[0]
+        splits.append(_factor_classes(factor, tuple(a[j] for j in group), p, int(sub)))
     factor_mults, factor_reps, factor_vectors = zip(*splits)
     choices = np.indices([len(m) for m in factor_mults]).reshape(len(splits), -1)
     mults = functools.reduce(np.multiply.outer, factor_mults).ravel()
@@ -217,19 +217,17 @@ def verify_splitting_invariants(result):
         messages.append(
             f"multiplicities sum to {result.total_multiplicity}, expected {expected}")
 
-    # first Chern class: compare class vectors, which is linear equivalence.
-    # Doubled, 2 sum D_v ~ p^(n-1) (p-1) (-K) needs no halving of an odd
-    # p^(n-1) (p-1), and as Pic of a smooth complete fan is free it is the
-    # same identity.
+    # first Chern class: 2 sum D_v + p^(n-1) (p-1) K has class 0.  Doubled,
+    # it needs no halving of an odd p^(n-1) (p-1), and as the split has
+    # shown Pic to be free, class 0 is linear equivalence to 0.
     mults = np.array([mult for mult, _ in result.classes.values()], dtype=object)
     reps = np.array([rep for _, rep in result.classes.values()], dtype=object)
-    total = mults @ reps.reshape(len(mults), len(fan.rays))
-    target = tuple(p ** (n - 1) * (p - 1) for _ in fan.rays)  # -2 scale * K
-    c1_ok = linearly_equivalent(fan, tuple(2 * int(x) for x in total), target)
+    total = 2 * (mults @ reps.reshape(len(mults), len(fan.rays))) - p ** (n - 1) * (p - 1)
+    c1_ok = not _exact_matmul(_pic_projection(fan), total).any()
     if not c1_ok:
         messages.append("sum of summands is not equivalent to -(p^(n-1)(p-1)/2) K")
 
-    other = (result.base_cone + 1) % len(fan.max_cones)
+    other = (result.base_cone + 1) % len(fan.cone_indices)
     rerun = thomsen_split(fan, result.divisor, p, base_cone=other)
     base_ok = ({c: m for c, (m, _) in result.classes.items()} ==
                {c: m for c, (m, _) in rerun.classes.items()})

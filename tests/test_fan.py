@@ -133,10 +133,10 @@ class TestTower:
         assert len(fan.rays) == 3 * d - 1 == nrays
         assert len(fan.max_cones) == 2 * 6 ** ((d - 1) // 2) == ncones
 
-    @pytest.mark.parametrize("d", [5, 7, 9, 11])
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
     def test_product_matches_primitive_pairs(self, d):
-        # the tower is built as Xd:3 x dP3^((d-3)/2); the primitive-pair
-        # construction over all its rays is the reference
+        # the tower's cones are built as {v_0, w_0} x hexagon^((d-1)/2); the
+        # primitive-pair construction over all its rays is the reference
         rays = tower_rays(d)
         reference = Fan(d, rays, maximal_cones_from_primitive_pairs(
             rays, tower_primitive_pairs(d)))
@@ -151,15 +151,14 @@ class TestTower:
         with pytest.raises(InvalidSpec):
             del_pezzo_bundle(1)
 
-    def test_incomplete_pair_list_fails_loudly(self, monkeypatch):
-        # dropping the two extra hexagon pairs (as in a well-known transcription
-        # slip) leaves a degenerate independent triple like {e1, -e2, e1-e2},
-        # which the builder's validation refuses
-        pairs = tower_primitive_pairs(3)
-        monkeypatch.setattr(fan_module, "tower_primitive_pairs", lambda d: tuple(
-            p for p in pairs if p not in ((1, 4), (2, 3))))
-        with pytest.raises(ConstructionFailed, match="determinant"):
-            del_pezzo_bundle(3)
+    def test_corrupt_hexagon_cones_fail_loudly(self, monkeypatch):
+        # joining each hexagon ray to the next but one gives unimodular cones
+        # that wind twice around the origin; the builder's validation
+        # refuses the tower, the product Xd:5 included
+        monkeypatch.setattr(fan_module, "_cycle", lambda m: [(i, (i + 2) % m) for i in range(m)])
+        for d in (3, 5):
+            with pytest.raises(ConstructionFailed, match=f"tower d={d}: point"):
+                del_pezzo_bundle(d)
 
 
 class TestConesFromPairs:

@@ -3,18 +3,24 @@
 `summand_divisors` must reproduce, row for row, the summands that the
 per-cone algorithm in `thomsen_oracle` glues together, and `thomsen_split`
 must give the same classes, multiplicities and representatives as grouping
-the oracle's summands one `divisor_class` call at a time.
+the oracle's summands one `divisor_class` call at a time.  On star
+subdivisions, which are no products, every summand vanishes on the rays of
+its base cone, and `thomsen_split`, which groups equal summands, gives the
+classes of that one-at-a-time grouping, in the same order.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsplit import frobenius
 from toricsplit.fan import build_named, del_pezzo_bundle, projective_space
 from toricsplit.frobenius import SplittingResult, summand_divisors, thomsen_split
 from toricsplit.lattice import identity
 
+from test_fan_properties import star_subdivisions
 from thomsen_oracle import (
     InconsistentGluing,
     ThomsenContext,
@@ -83,6 +89,22 @@ def test_blocks_match_oracle(spec, p, monkeypatch):
     rng = random.Random(f"blocks/{spec}/{p}")
     for divisor, base in cases(fan, rng):
         assert_matches_oracle(fan, divisor, p, base)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_summands_are_their_own_classes(data):
+    # D_v is 0 on the base cone's rays, so two summands are linearly
+    # equivalent only when equal, and grouping equal rows is grouping classes
+    fan = data.draw(star_subdivisions())
+    divisor = data.draw(st.tuples(*(st.integers(-3, 3) for _ in fan.rays)))
+    p = data.draw(st.sampled_from([2, 3]))
+    for base, cone in enumerate(fan.max_cones):
+        rows = summand_divisors(fan, divisor, p, base)
+        assert not rows[:, list(cone)].any()
+        expected = oracle_classes(fan, [tuple(r) for r in rows.tolist()])
+        assert list(thomsen_split(fan, divisor, p, base).classes.items()) == \
+            list(expected.items())
 
 
 class TestContext:
