@@ -16,28 +16,15 @@ A scan of more than 2^30 degrees is refused with ValueError before it
 starts.  Faces are vertex masks; every boundary rank comes from one exact
 sparse elimination.
 
-The masks are reduced block by block.  Take the components of the graph
-whose edges are the ray pairs in no common cone.  If #maximal cones equals
-the product over blocks of the number of distinct sets cone & block, then
-every choice of one such set per block is a cone (a cone is the union of
-its restrictions, so the map to the product is injective, and onto by
-count): the face complex is the join of its blocks.  A full subcomplex of a
-join is the join of the blocks' full subcomplexes, and by Kunneth for joins
-its reduced cohomology dims, indexed by degree + 1, are the convolution of
-the blocks' dims.  Both the dims of each block's sub-mask, reduced on the
-block's own small complex, and those of each whole mask are cached in the
-per-fan memo, so each is computed once per fan; a fan that is no join is
-one block.
-
 A fan that is the product of fans on disjoint blocks of coordinates (the
 components of the graph joining two coordinates when some ray is nonzero in
-both, accepted by the same cone count as the join blocks) is not scanned
-whole.  Each factor is scanned at its own B(D) and caches its dims and its
-contributing sup-norms.  By Kunneth the product's dims are the convolution
-of the factors'.  A product degree contributes exactly when each factor's
-part does, and its sup-norm is the largest of the parts', so the product's
-contributing sup-norms are the factors' that reach every factor's
-smallest one.
+both, accepted when the cones' distinct restrictions to the blocks multiply
+to the number of cones) is not scanned whole.  Each factor is scanned at
+its own B(D) and caches its dims and its contributing sup-norms.  By
+Kunneth the product's dims are the convolution of the factors'.  A product
+degree contributes exactly when each factor's part does, and its sup-norm
+is the largest of the parts', so the product's contributing sup-norms are
+the factors' that reach every factor's smallest one.
 
 On top of that sit the (strongly) exceptional collection checks.  Ext groups
 between line bundles are cohomology of coefficient differences, and both
@@ -60,8 +47,7 @@ import numpy as np
 
 from . import lattice
 from .divisor import _coeffs, _pic_projection
-from .fan import (_components, _factors, _faces, _mask, _per_fan, _poly_mul,
-                  _product_facets, fan_product)
+from .fan import _factors, _faces, _mask, _per_fan, _poly_mul, fan_product
 
 _INT64_SAFE = 2 ** 31
 _BLOCK = 2 ** 16
@@ -139,52 +125,11 @@ def _subset_dims(facets, mask, top):
     return dims + (0,) * (top + 1 - len(dims))
 
 
-# ---------------------------------------------------------------------------
-# join blocks of the face complex
-
-
-@_per_fan
-def _join_blocks(fan):
-    """(blocks, facets): a partition of the rays, as vertex masks, whose
-    face complexes the fan's face complex is the join of, with each block's
-    sorted distinct facets `cone & block`.
-
-    The candidate blocks are the components of the graph whose edges are the
-    ray pairs in no common cone.  When `_product_facets` accepts them, every
-    choice of one facet per block is a cone, and the complex is the join.
-    Otherwise all rays form one block.
-    """
-    count = len(fan.rays)
-    together = np.eye(count, dtype=bool)
-    for cone in fan.max_cones:
-        together[np.ix_(cone, cone)] = True
-    blocks = [_mask(block) for block in _components(~together)]
-    cones = [_mask(cone) for cone in fan.max_cones]
-    facets = _product_facets(cones, blocks)
-    if facets is None:
-        return [(1 << count) - 1], [tuple(sorted(cones))]
-    return blocks, facets
-
-
-@_per_fan
-def _block_dims(fan, b, sub):
-    """Padded dims of join block b's full subcomplex on the vertex mask `sub`."""
-    facets = _join_blocks(fan)[1][b]
-    return _subset_dims(facets, sub, max(map(int.bit_count, facets)))
-
-
 @_per_fan
 def _mask_dims(fan, mask):
-    """Padded dims (index i -> degree i-1) of the full subcomplex on the
-    vertex mask: the convolution of its join blocks' dims, so zero once one
-    block's are, as for most masks of a scan."""
-    dims = (1,)
-    for b, block in enumerate(_join_blocks(fan)[0]):
-        part = _block_dims(fan, b, mask & block)
-        if not any(part):
-            return (0,) * (fan.dim + 1)
-        dims = _poly_mul(dims, part)
-    return tuple(dims)
+    """Padded dims (index i -> degree i-1) of the full subcomplex of the
+    fan's face complex on the vertex mask."""
+    return _subset_dims(fan.face_complex._facet_masks, mask, fan.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -215,47 +160,24 @@ def _scan_constants(fan):
     return np.array(fan.rays, dtype=np.int64), ray_l1, max(abs(x) for r in fan.rays for x in r)
 
 
-def _extension_blocks(subsets, count):
-    """Each row of `subsets` extended by every index above its last, in
-    lexicographic order, in blocks of about _SUBSET_BLOCK rows."""
-    last = subsets[:, -1] if subsets.shape[1] else np.full(len(subsets), -1)
-    grow = count - 1 - last
-    cuts = np.searchsorted(np.cumsum(grow), np.arange(_SUBSET_BLOCK, grow.sum(), _SUBSET_BLOCK))
-    for part, tail, more in zip(np.split(subsets, cuts), np.split(last, cuts),
-                                np.split(grow, cuts)):
-        rows = np.repeat(np.arange(len(part)), more)
-        first = np.cumsum(more) - more
-        if len(rows):
-            yield np.column_stack([part[rows], tail[rows] + 1 + np.arange(len(rows)) - first[rows]])
-
-
 @_per_fan
 def _vertex_data(fan):
     """(J, det B_J, adj B_J) for every independent n-subset J, in
     lexicographic order.
 
     B_J has the rays of J as rows, and B_J @ adj_J == det_J * I exactly.
-    The independent sets grow level by level: each independent k-subset is
-    extended only by rays of larger index, and kept when its Gram matrix
-    B B^T (a submatrix of all rays' Gram matrix) has a nonzero determinant.
-    Candidates go in blocks of about _SUBSET_BLOCK, so memory stays bounded
-    however many there are.  All eliminations are `lattice._bareiss`.
+    The n-subsets of rays go in blocks of _SUBSET_BLOCK, so memory stays
+    bounded however many there are: one `lattice._bareiss` takes a block's
+    determinants and a second the adjugates of its nonsingular rows.
     """
-    count = len(fan.rays)
     rays = lattice._narrow(fan.ray_matrix)
-    gram = lattice._exact_matmul(rays, rays.T)
-    level = np.empty((1, 0), dtype=np.intp)
-    for k in range(1, fan.dim):
-        parts = [np.empty((0, k), dtype=np.intp)]
-        for subsets in _extension_blocks(level, count):
-            dets, _ = lattice._bareiss(gram[subsets[:, :, None], subsets[:, None, :]], False)
-            parts.append(subsets[dets != 0])
-        level = np.concatenate(parts)
+    subsets = itertools.combinations(range(len(fan.rays)), fan.dim)
     parts = []
-    for subsets in _extension_blocks(level, count):
-        dets, _ = lattice._bareiss(rays[subsets], False)
-        subsets = subsets[dets != 0]
-        parts.append((subsets, *lattice._bareiss(rays[subsets], True)))
+    while block := list(itertools.islice(subsets, _SUBSET_BLOCK)):
+        block = np.array(block, dtype=np.intp)
+        dets, _ = lattice._bareiss(rays[block], False)
+        block = block[dets != 0]
+        parts.append((block, *lattice._bareiss(rays[block], True)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -170,7 +170,7 @@ class Fan:
 
     @cached_property
     def face_complex(self):
-        return FaceComplex.from_facets(len(self.rays), self.max_cones)
+        return FaceComplex.from_facets(len(self.rays), self.cone_indices.tolist())
 
     def to_json_dict(self):
         return {
@@ -490,18 +490,6 @@ def _components(adjacent):
                     stack.append(k)
         components.append(sorted(component))
     return components
-
-
-def _product_facets(cones, blocks):
-    """Per block mask, the sorted distinct masks `cone & block` of the cone
-    masks, or None unless their numbers multiply to the number of cones.
-
-    Each cone is the union of its restrictions, so cone -> (cone & b)_b is
-    injective into the product of the blocks' sets; when the counts multiply
-    to #cones it is onto, and every choice of one set per block is a cone.
-    """
-    facets = [tuple(sorted({c & block for c in cones})) for block in blocks]
-    return facets if math.prod(map(len, facets)) == len(cones) else None
 
 
 @_per_fan

@@ -1,9 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cohomology_oracle import oracle_cohomology
+from test_fan_properties import ONCE, blow_up, cycle_fan
+import toricsplit
 from toricsplit import cohomology, lattice
 from toricsplit.cohomology import (
     FactorNotStronglyExceptional,
@@ -341,10 +348,57 @@ class TestVertexData:
         return Fan(3, [tuple(int(x) for x in g @ np.array(r, dtype=object))
                        for r in base.rays], base.max_cones)
 
-    @pytest.mark.parametrize("spec", ["P:3", "F:2", "Xd:3", "Xd:5", "dP:3*dP:3", "moved P:3"])
+    @pytest.mark.parametrize("spec", ["P:3", "F:2", "Xd:3", "Xd:5", "dP:3*dP:3", "moved P:3",
+                                      "P:16"])
     def test_matches_lattice_adjugate(self, spec):
-        # the level-by-level growth keeps exactly the independent n-subsets
-        # of the all-combinations enumeration, in its lexicographic order
+        # exactly the independent n-subsets of the all-combinations
+        # enumeration, in its lexicographic order; P:16 eliminates in Python ints
         fan = self.moved_projective_space() if spec == "moved P:3" else build_named(spec)
         assert list(self.cached(fan).items()) == list(self.expected(fan).items())
         assert line_bundle_cohomology(fan, zero(fan)).dims == (1,) + (0,) * fan.dim
+
+    def test_projective_space_eliminates_each_subset_at_most_twice(self, monkeypatch):
+        # P:16 has 17 rays and 17 n-subsets: one elimination takes their
+        # determinants and one their adjugates, with no matrix besides
+        fan = build_named("P:16")
+        received = []
+        original = lattice._bareiss
+
+        def counted(mats, adjugates):
+            received.append(len(mats))
+            return original(mats, adjugates)
+
+        monkeypatch.setattr(cohomology.lattice, "_bareiss", counted)
+        assert len(cohomology._vertex_data(fan)[0]) == 17
+        assert sum(received) <= 2 * 17
+
+
+def test_scan_leaves_numpy_ma_unloaded():
+    # importing numpy.ma costs about 1 MiB of peak memory in every process
+    code = ("import sys\n"
+            "from toricsplit.cohomology import line_bundle_cohomology\n"
+            "from toricsplit.fan import build_named\n"
+            "fan = build_named('Xd:5')\n"
+            "print(line_bundle_cohomology(fan, (-2,) * len(fan.rays)).dims)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(toricsplit.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split("\n")[1] == "False", done.stdout
+
+
+def test_product_of_projective_planes_table():
+    # O(1, 1) on P^2 x P^2 has 10 x 10 sections and no higher cohomology
+    fan = build_named("P:2*P:2")
+    table = line_bundle_cohomology(fan, (1,) * 6)
+    assert table.dims == (100, 0, 0, 0, 0)
+
+
+def test_blown_up_cycle_matches_oracle():
+    # a 2-D fan of 26 rays, its own single factor
+    rng = random.Random("cycle")
+    fan = cycle_fan(blow_up(ONCE[3], [rng.randrange(100) for _ in range(20)]))
+    assert len(fan.rays) >= 24
+    for d in [(0,) * len(fan.rays), tuple(rng.randint(-1, 1) for _ in fan.rays)]:
+        table = line_bundle_cohomology(fan, d)
+        assert (table.dims, table.box) == oracle_cohomology(fan, d), d

@@ -10,8 +10,8 @@ one.  The counter wraps `lattice.smith_normal_form` in every module that
 refers to it, so a call through `solve_integral` is counted too.
 
 `Fan.max_cones`, a tuple of tuples, is formed on first use; the commands
-below read `Fan.cone_indices` only, so the built fan's `__dict__` must not
-hold it.
+below, the cohomology scans included, read `Fan.cone_indices` only, so
+neither the built fan's `__dict__` nor its factor fans' may hold it.
 """
 
 import contextlib
@@ -23,7 +23,7 @@ import pytest
 
 import toricsplit
 from toricsplit import cli, lattice
-from toricsplit.fan import build_named
+from toricsplit.fan import _factors, build_named
 from toricsplit.frobenius import thomsen_split
 
 
@@ -86,22 +86,52 @@ def test_collection_checks_run_one_smith_form(xd5_summands, tmp_path, snf_calls)
     assert snf_calls[0] <= 1
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The fans the CLI builds from descriptors, in order."""
+    fans = []
+
+    def capture(spec):
+        fans.append(build_named(spec))
+        return fans[-1]
+
+    monkeypatch.setattr(cli, "build_named", capture)
+    return fans
+
+
+@pytest.fixture
+def anticanonical(tmp_path):
+    """A divisor file of -K on Xd:5, every coefficient 1."""
+    path = tmp_path / "anticanonical.json"
+    path.write_text(json.dumps({"coeffs": [1] * len(build_named("Xd:5").rays)}))
+    return path
+
+
+def unformed(fan):
+    """Whether `max_cones` is missing from the fan and its factor fans."""
+    return all("max_cones" not in vars(f) for f in [fan, *(f for f, _ in _factors(fan))])
+
+
 @pytest.mark.parametrize("argv", [
     ["variety", "info", "Xd:9"],
     ["bondal", "check", "--variety", "Xd:9"],
     ["frobenius", "split", "--variety", "Xd:7", "--p", "2"],
 ])
-def test_max_cones_stays_unformed(argv, monkeypatch):
-    built = []
-
-    def capture(spec):
-        built.append(build_named(spec))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_named", capture)
+def test_max_cones_stays_unformed(argv, built):
     assert run(argv)[0] == 0
     assert len(built) == 1
-    assert "max_cones" not in vars(built[0])
+    assert unformed(built[0])
+
+
+@pytest.mark.parametrize("command, option, source", [
+    ("cohomology compute", "--divisor", "anticanonical"),
+    ("collection order", "--collection", "xd5_summands"),
+], ids=["cohomology-compute", "collection-order"])
+def test_scans_leave_max_cones_unformed(command, option, source, request, built):
+    path = request.getfixturevalue(source)
+    assert run([*command.split(), "--variety", "Xd:5", option, str(path)])[0] == 0
+    assert len(built) == 1
+    assert unformed(built[0])
 
 
 def test_max_cones_formed_on_first_use():
